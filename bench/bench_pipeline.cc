@@ -133,22 +133,6 @@ void EmitCellRow(const char* target, const char* mode, std::size_t items,
       bench::RowTags(simd::Name(kernels::ActiveIsa())).c_str());
 }
 
-/// Batch-layout A/B row: the same dense-geometry ingest kernel fed the
-/// interleaved PrehashedItem array ("aos") vs the item/hash column pair
-/// ("soa"). The speedup denominator is the same-ISA same-cell-width AoS
-/// rate, so a "soa" row reads directly as "columnar batches buy this much
-/// at this level".
-void EmitLayoutRow(const char* target, const char* layout, std::size_t items,
-                   double items_per_sec, double aos_baseline, int cell_bits) {
-  std::printf(
-      "{\"bench\":\"pipeline\",\"target\":\"%s\",\"mode\":\"batch_layout\","
-      "\"layout\":\"%s\",\"cell_bits\":%d,\"items\":%zu,"
-      "\"items_per_sec\":%.0f,\"speedup_vs_aos\":%.3f,%s}\n",
-      target, layout, cell_bits, items, items_per_sec,
-      aos_baseline > 0.0 ? items_per_sec / aos_baseline : 0.0,
-      bench::RowTags(simd::Name(kernels::ActiveIsa())).c_str());
-}
-
 void EmitRow(const char* target, const char* mode, std::size_t items,
              double items_per_sec, double scalar_baseline) {
   // Every row carries the dispatch level it ran under plus compiler/build
@@ -186,7 +170,7 @@ double BestRate(int repeats, std::size_t items, Make make, Run run) {
 /// instance per timing run.
 template <typename Make>
 double BenchSummary(const char* target, int repeats, const Stream& s,
-                    const std::vector<PrehashedItem>& column, Make make) {
+                    PrehashedColumns cols, Make make) {
   const double scalar = BestRate(repeats, s.size(), make, [&](auto& sk) {
     for (item_t a : s) sk.Update(a);
   });
@@ -198,7 +182,7 @@ double BenchSummary(const char* target, int repeats, const Stream& s,
   EmitRow(target, "batch", s.size(), batch, scalar);
 
   const double prehashed = BestRate(repeats, s.size(), make, [&](auto& sk) {
-    sk.UpdatePrehashed(column.data(), column.size());
+    sk.UpdatePrehashed(cols, s.size());
   });
   EmitRow(target, "prehashed", s.size(), prehashed, scalar);
   return scalar;
@@ -213,16 +197,11 @@ int main(int argc, char** argv) {
 
   ZipfGenerator generator(1 << 16, 1.1, 7);
   const Stream sampled = Materialize(generator, items);
-  std::vector<PrehashedItem> column(sampled.size());
-  PrehashColumn(sampled.data(), sampled.size(), column.data());
-  // The same prehashed input split into parallel columns (the ShardedMonitor
-  // batch layout), for the batch_layout A/B rows.
-  std::vector<std::uint64_t> item_col(sampled.size());
+  // The prehashed input as the item/hash column pair every prehashed
+  // ingest path takes (the ShardedMonitor batch layout).
   std::vector<std::uint64_t> hash_col(sampled.size());
-  for (std::size_t i = 0; i < sampled.size(); ++i) {
-    item_col[i] = column[i].item;
-    hash_col[i] = column[i].hash;
-  }
+  PrehashColumnSoA(sampled.data(), sampled.size(), hash_col.data());
+  const PrehashedColumns cols{sampled.data(), hash_col.data()};
 
   // --- Individual counter-table sketches vs their pre-refactor kernels.
   // Reference rows share the target's scalar baseline, so their
@@ -231,7 +210,7 @@ int main(int argc, char** argv) {
   double countsketch_scalar = 0.0;
   {
     countmin_scalar =
-        BenchSummary("countmin", repeats, sampled, column,
+        BenchSummary("countmin", repeats, sampled, cols,
                      [] { return CountMinSketch(4, 4096, false, 3); });
     const double poly = BestRate(
         repeats, items, [] { return PolyhashCountMinReference(4, 4096, 3); },
@@ -243,7 +222,7 @@ int main(int argc, char** argv) {
 
   {
     countsketch_scalar =
-        BenchSummary("countsketch", repeats, sampled, column,
+        BenchSummary("countsketch", repeats, sampled, cols,
                      [] { return CountSketch(5, 4096, 3); });
     const double poly = BestRate(
         repeats, items, [] { return PolyhashCountSketchReference(5, 4096, 3); },
@@ -271,7 +250,7 @@ int main(int argc, char** argv) {
     static std::int64_t raw_sgn[kRawBlock];
     const std::uint64_t sign_coeffs[4] = {123456789ULL, 2718281828ULL,
                                           31415926535ULL, 1414213562ULL};
-    const std::size_t raw_items = (column.size() / kRawBlock) * kRawBlock;
+    const std::size_t raw_items = (sampled.size() / kRawBlock) * kRawBlock;
     double bucket_row_scalar = 0.0;
     double sign_row4_scalar = 0.0;
     // Restored after the ladder: the sections above/below must honor the
@@ -294,12 +273,12 @@ int main(int argc, char** argv) {
       const double cm = BestRate(
           repeats, items, [] { return CounterTable<count_t>(4, 4096, 3); },
           [&](auto& table) {
-            table.AddPrehashed(column.data(), column.size());
+            table.AddPrehashed(hash_col.data(), hash_col.size());
           });
       EmitRow("countmin", "kernel", items, cm, countmin_scalar);
       const double cs = BestRate(
           repeats, items, [] { return CountSketch(5, 4096, 3); },
-          [&](auto& sk) { sk.UpdatePrehashed(column.data(), column.size()); });
+          [&](auto& sk) { sk.UpdatePrehashed(cols, sampled.size()); });
       EmitRow("countsketch", "kernel", items, cs, countsketch_scalar);
 
       // Cell-width ladder: the same CountMin ingest kernel at every
@@ -322,7 +301,7 @@ int main(int argc, char** argv) {
                                         /*pow2_width=*/true});
               },
               [&](auto& table) {
-                table.AddPrehashed(column.data(), column.size());
+                table.AddPrehashed(hash_col.data(), hash_col.size());
               });
           if (cw == CellWidth::k64) cells_wide = rate;
           EmitCellRow("countmin", "kernel_cells", items, rate, cells_wide,
@@ -330,57 +309,12 @@ int main(int argc, char** argv) {
         }
       }
 
-      // Batch layout A/B at the same dense geometry: interleaved
-      // PrehashedItem batches (the pre-columnar ring payload) vs the
-      // item/hash column pair ShardedMonitor now ships. Wide and narrow
-      // CountMin cells plus the two-column CountSketch ingest, per ISA.
-      {
-        for (CellWidth cw : {CellWidth::k64, CellWidth::k8}) {
-          const auto make_table = [cw] {
-            return CounterTable<count_t>(
-                4, std::uint64_t{1} << 16, 3,
-                CounterTableOptions{cw, OverflowPolicy::kSpill,
-                                    /*pow2_width=*/true});
-          };
-          const double aos = BestRate(repeats, items, make_table,
-                                      [&](auto& table) {
-                                        table.AddPrehashed(column.data(),
-                                                           column.size());
-                                      });
-          EmitLayoutRow("countmin", "aos", items, aos, aos, CellBits(cw));
-          const double soa = BestRate(repeats, items, make_table,
-                                      [&](auto& table) {
-                                        table.AddPrehashed(hash_col.data(),
-                                                           hash_col.size());
-                                      });
-          EmitLayoutRow("countmin", "soa", items, soa, aos, CellBits(cw));
-        }
-        const auto make_cs = [] {
-          return CountSketch(4, std::uint64_t{1} << 16, 3,
-                             CounterTableOptions{CellWidth::k64,
-                                                 OverflowPolicy::kSpill,
-                                                 /*pow2_width=*/true});
-        };
-        const double cs_aos = BestRate(
-            repeats, items, make_cs, [&](auto& sk) {
-              sk.UpdatePrehashed(column.data(), column.size());
-            });
-        EmitLayoutRow("countsketch", "aos", items, cs_aos, cs_aos, 64);
-        const double cs_soa = BestRate(
-            repeats, items, make_cs, [&](auto& sk) {
-              sk.UpdatePrehashed(
-                  PrehashedColumns{item_col.data(), hash_col.data()},
-                  item_col.size());
-            });
-        EmitLayoutRow("countsketch", "soa", items, cs_soa, cs_aos, 64);
-      }
-
       const kernels::KernelTable& kt = kernels::Dispatch();
       const double braw = BestRate(
           repeats, raw_items, [] { return 0; },
           [&](int&) {
             for (std::size_t b = 0; b < raw_items; b += kRawBlock) {
-              kt.bucket_row(column.data() + b, kRawBlock,
+              kt.bucket_row(hash_col.data() + b, kRawBlock,
                             0x9e3779b97f4a7c15ULL, 4096, raw_idx);
             }
           });
@@ -390,7 +324,7 @@ int main(int argc, char** argv) {
           repeats, raw_items, [] { return 0; },
           [&](int&) {
             for (std::size_t b = 0; b < raw_items; b += kRawBlock) {
-              kt.sign_row4(column.data() + b, kRawBlock, sign_coeffs,
+              kt.sign_row4(sampled.data() + b, kRawBlock, sign_coeffs,
                            raw_sgn);
             }
           });
@@ -401,13 +335,13 @@ int main(int argc, char** argv) {
     kernels::SetActive(entry_isa);
   }
 
-  BenchSummary("hyperloglog", repeats, sampled, column,
+  BenchSummary("hyperloglog", repeats, sampled, cols,
                [] { return HyperLogLog(14, 3); });
-  BenchSummary("kmv", repeats, sampled, column,
+  BenchSummary("kmv", repeats, sampled, cols,
                [] { return KmvSketch(1024, 3); });
 
   // --- The full Monitor: the paper's many-estimators-one-pass facade.
-  BenchSummary("monitor", repeats, sampled, column,
+  BenchSummary("monitor", repeats, sampled, cols,
                [] { return Monitor(BenchConfig(), 3); });
 
   // --- Planner A/B: the accuracy-budget planner handed EXACTLY the bytes
@@ -492,7 +426,7 @@ int main(int argc, char** argv) {
 
   // --- Sampled ingest (NitroSketch mode): geometric-skip admission over
   // the raw stream, survivors prehashed in chunks and applied through
-  // Monitor::UpdatePrehashedWeighted with the unbiased weight round(1/p).
+  // Monitor::UpdatePrehashed with the unbiased weight round(1/p).
   // Rates are per ORIGINAL item — the producer-side view, where skipped
   // items pay only the skip countdown — so the p = 1/64 row reads directly
   // as the line-rate headroom overload shedding buys. Each row carries the
@@ -516,7 +450,7 @@ int main(int argc, char** argv) {
       const double p = 1.0 / static_cast<double>(weight);
       Rng rng(42);
       item_t survivors[kChunk];
-      PrehashedItem col[kChunk];
+      std::uint64_t hashes[kChunk];
       std::size_t fill = 0;
       std::uint64_t skip = weight == 1 ? 0 : rng.NextGeometric(p);
       for (item_t a : sampled) {
@@ -529,14 +463,16 @@ int main(int argc, char** argv) {
         }
         survivors[fill++] = a;
         if (fill == kChunk) {
-          PrehashColumn(survivors, fill, col);
-          monitor.UpdatePrehashedWeighted(col, fill, weight);
+          PrehashColumnSoA(survivors, fill, hashes);
+          monitor.UpdatePrehashed(PrehashedColumns{survivors, hashes}, fill,
+                                  weight);
           fill = 0;
         }
       }
       if (fill > 0) {
-        PrehashColumn(survivors, fill, col);
-        monitor.UpdatePrehashedWeighted(col, fill, weight);
+        PrehashColumnSoA(survivors, fill, hashes);
+        monitor.UpdatePrehashed(PrehashedColumns{survivors, hashes}, fill,
+                                weight);
       }
     };
 

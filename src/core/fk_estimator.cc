@@ -91,38 +91,17 @@ void FkEstimator::UpdateBatch(const item_t* data, std::size_t n) {
   }
 }
 
-void FkEstimator::UpdatePrehashed(const PrehashedItem* data, std::size_t n) {
-  sampled_length_ += n;
-  if (sketch_backend_) {
-    sketch_backend_->UpdatePrehashed(data, n);
-  } else {
-    exact_backend_->UpdatePrehashed(data, n);
-  }
-}
-
-void FkEstimator::UpdatePrehashed(PrehashedColumns cols, std::size_t n) {
-  sampled_length_ += n;
-  if (sketch_backend_) {
-    sketch_backend_->UpdatePrehashed(cols, n);
-  } else {
-    exact_backend_->UpdatePrehashed(cols, n);
-  }
-}
-
-void FkEstimator::UpdatePrehashedWeighted(const PrehashedItem* data,
-                                          std::size_t n, count_t weight) {
+void FkEstimator::UpdatePrehashed(PrehashedColumns cols, std::size_t n,
+                                  count_t weight) {
   sampled_length_ += n * weight;
-  if (sketch_backend_) {
-    for (std::size_t i = 0; i < n; ++i) sketch_backend_->Update(data[i], weight);
-  } else {
-    for (std::size_t i = 0; i < n; ++i)
-      exact_backend_->Update(data[i].item, weight);
+  if (weight == 1) {
+    if (sketch_backend_) {
+      sketch_backend_->UpdatePrehashed(cols, n);
+    } else {
+      exact_backend_->UpdatePrehashed(cols, n);
+    }
+    return;
   }
-}
-
-void FkEstimator::UpdatePrehashedWeighted(PrehashedColumns cols, std::size_t n,
-                                          count_t weight) {
-  sampled_length_ += n * weight;
   if (sketch_backend_) {
     for (std::size_t i = 0; i < n; ++i)
       sketch_backend_->Update(cols.At(i), weight);

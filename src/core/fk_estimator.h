@@ -79,21 +79,12 @@ class FkEstimator {
 
   /// Feeds `n` already-prehashed elements of L (the Monitor pipeline's
   /// columnar entry point; the level-set CountSketches consume the shared
-  /// prehash directly).
-  void UpdatePrehashed(const PrehashedItem* data, std::size_t n);
-
-  /// SoA form: fans the columns to the configured backend.
-  void UpdatePrehashed(PrehashedColumns cols, std::size_t n);
-
-  /// Weighted (sampled-ingest) forms: each element carries `weight` units,
-  /// the unbiased round(1/p) correction for Bernoulli(p)-admitted
-  /// survivors. Equivalent to replaying each element `weight` times
-  /// (level-set adds are linear); per-item depth routing keeps these
-  /// per-item loops.
-  void UpdatePrehashedWeighted(const PrehashedItem* data, std::size_t n,
-                               count_t weight);
-  void UpdatePrehashedWeighted(PrehashedColumns cols, std::size_t n,
-                               count_t weight);
+  /// prehash directly). With `weight` > 1 (sampled ingest) each element
+  /// carries `weight` units, the unbiased round(1/p) correction for
+  /// Bernoulli(p)-admitted survivors: equivalent to replaying each element
+  /// `weight` times (level-set adds are linear).
+  void UpdatePrehashed(PrehashedColumns cols, std::size_t n,
+                       count_t weight = 1);
 
   /// Merges an estimator built with the same parameters and seed (the
   /// level-set backends merge under their own geometry/seed preconditions).

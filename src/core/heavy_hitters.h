@@ -55,18 +55,11 @@ class F1HeavyHitterEstimator {
   void UpdateBatch(const item_t* data, std::size_t n);
 
   /// Feeds `n` already-prehashed elements of L (sketch adds and candidate
-  /// re-estimates share the caller's prehash).
-  void UpdatePrehashed(const PrehashedItem* data, std::size_t n);
-
-  /// SoA form: per-item candidate tracking, pairs rebuilt from the columns.
-  void UpdatePrehashed(PrehashedColumns cols, std::size_t n);
-
-  /// Weighted (sampled-ingest) forms: each element carries `weight` units
-  /// through the CountMin tracker's weighted-add path.
-  void UpdatePrehashedWeighted(const PrehashedItem* data, std::size_t n,
-                               count_t weight);
-  void UpdatePrehashedWeighted(PrehashedColumns cols, std::size_t n,
-                               count_t weight);
+  /// re-estimates share the caller's prehash). With `weight` > 1 (sampled
+  /// ingest) each element carries `weight` units through the CountMin
+  /// tracker's weighted-add path.
+  void UpdatePrehashed(PrehashedColumns cols, std::size_t n,
+                       count_t weight = 1);
 
   /// Merges an estimator built with the same parameters and seed.
   void Merge(const F1HeavyHitterEstimator& other);
@@ -125,18 +118,11 @@ class F2HeavyHitterEstimator {
   void UpdateBatch(const item_t* data, std::size_t n);
 
   /// Feeds `n` already-prehashed elements of L (sketch adds and candidate
-  /// re-estimates share the caller's prehash).
-  void UpdatePrehashed(const PrehashedItem* data, std::size_t n);
-
-  /// SoA form: per-item candidate tracking, pairs rebuilt from the columns.
-  void UpdatePrehashed(PrehashedColumns cols, std::size_t n);
-
-  /// Weighted (sampled-ingest) forms: each element carries `weight` units
-  /// through the CountSketch tracker's weighted-add path.
-  void UpdatePrehashedWeighted(const PrehashedItem* data, std::size_t n,
-                               count_t weight);
-  void UpdatePrehashedWeighted(PrehashedColumns cols, std::size_t n,
-                               count_t weight);
+  /// re-estimates share the caller's prehash). With `weight` > 1 (sampled
+  /// ingest) each element carries `weight` units through the CountSketch
+  /// tracker's weighted-add path.
+  void UpdatePrehashed(PrehashedColumns cols, std::size_t n,
+                       count_t weight = 1);
 
   /// Merges an estimator built with the same parameters and seed.
   void Merge(const F2HeavyHitterEstimator& other);

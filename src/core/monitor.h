@@ -149,26 +149,19 @@ class Monitor {
 
   /// Feeds `n` already-prehashed elements of L — the columnar entry point
   /// ShardedMonitor's rings feed so the partitioner's prehash is reused by
-  /// every sketch on the worker side.
-  void UpdatePrehashed(const PrehashedItem* data, std::size_t n);
-
-  /// SoA form: fans the item/hash columns to every estimator so the
-  /// counter-array sketches run unit-stride SIMD loads; bit-identical
-  /// to the AoS fan-out.
-  void UpdatePrehashed(PrehashedColumns cols, std::size_t n);
-
-  /// Weighted (sampled-ingest) forms: each of the `n` elements carries
+  /// every sketch on the worker side. The item/hash columns fan out to
+  /// every estimator, so the counter-array sketches run unit-stride SIMD
+  /// loads.
+  ///
+  /// With `weight` > 1 (sampled ingest) each of the `n` elements carries
   /// `weight` units — the unbiased round(1/p) correction for survivors of
   /// Bernoulli(p) admission (core/overload.h). Every frequency-weighted
   /// summary (F2 level sets, entropy MLE, heavy hitters) absorbs the
   /// weight through its linear add path; F0 sees the survivors unweighted
   /// (distinct-count state is a set — a weight cannot conjure the skipped
   /// identities, so under sampling F0 reports distinct *admitted* items).
-  /// weight == 1 is exactly UpdatePrehashed.
-  void UpdatePrehashedWeighted(const PrehashedItem* data, std::size_t n,
-                               count_t weight);
-  void UpdatePrehashedWeighted(PrehashedColumns cols, std::size_t n,
-                               count_t weight);
+  void UpdatePrehashed(PrehashedColumns cols, std::size_t n,
+                       count_t weight = 1);
 
   /// Merges a monitor constructed with the same config and seed, so that
   /// this monitor summarizes the concatenation of both sampled streams.

@@ -108,7 +108,7 @@
 /// SampleControllerOptions::min_rate); skipped items never pay hashing,
 /// staging or ring traffic, so the producer keeps running at line rate.
 /// Survivors ship with the batch-level weight round(1/p) and the workers
-/// apply them through Monitor::UpdatePrehashedWeighted — every counter
+/// pass them as Monitor::UpdatePrehashed's weight — every counter
 /// stays an unbiased estimate at a variance cost Health() reports as
 /// sampled_epsilon. When pressure stays below the disengage watermark for
 /// a calm streak, p doubles back toward exact counting (hysteresis: the

@@ -66,22 +66,10 @@ void AmsF2Sketch::UpdateBatch(const item_t* data, std::size_t n) {
   total_ += n;
 }
 
-void AmsF2Sketch::UpdatePrehashed(const PrehashedItem* data, std::size_t n) {
+void AmsF2Sketch::UpdatePrehashed(PrehashedColumns cols, std::size_t n) {
   // Signs are evaluated on the raw identity; run the same estimator-major
   // accumulation as UpdateBatch (integer adds, so the result is identical
-  // to the scalar loop regardless of order).
-  for (std::size_t j = 0; j < counters_.size(); ++j) {
-    const PolynomialHash& hash = sign_hashes_[j];
-    std::int64_t acc = 0;
-    for (std::size_t i = 0; i < n; ++i) acc += hash.Sign(data[i].item);
-    counters_[j] += acc;
-  }
-  total_ += n;
-}
-
-void AmsF2Sketch::UpdatePrehashed(PrehashedColumns cols, std::size_t n) {
-  // The SoA layout is a strict win here: the item column is already
-  // contiguous, so the estimator-major sweep streams it unit-stride.
+  // to the scalar loop regardless of order) over the item column.
   for (std::size_t j = 0; j < counters_.size(); ++j) {
     const PolynomialHash& hash = sign_hashes_[j];
     std::int64_t acc = 0;

@@ -41,9 +41,6 @@ class AmsF2Sketch {
   /// Feeds `n` already-prehashed elements. The 4-wise-independent sign
   /// hashes need the raw identity (independence is what the variance bound
   /// uses), so the prehash itself is unused here.
-  void UpdatePrehashed(const PrehashedItem* data, std::size_t n);
-
-  /// SoA form: the same estimator-major accumulation over the item column.
   void UpdatePrehashed(PrehashedColumns cols, std::size_t n);
 
   /// Zeroes all counters; geometry, seed and sign hashes are kept.

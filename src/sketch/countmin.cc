@@ -66,32 +66,19 @@ void CountMinSketch::UpdateBatch(const item_t* data, std::size_t n) {
   });
 }
 
-void CountMinSketch::UpdatePrehashed(const PrehashedItem* data,
-                                     std::size_t n) {
+void CountMinSketch::UpdatePrehashed(PrehashedColumns cols, std::size_t n) {
   if (conservative_update_) {
     // Conservative update reads the current minimum before writing, so it
     // stays a per-item loop — but each item's prehash is still shared
     // across the read and write passes.
-    for (std::size_t i = 0; i < n; ++i) {
-      table_.AddConservative(data[i], 1);
-    }
-    total_ += n;
-    return;
-  }
-  table_.AddPrehashed(data, n);
-  total_ += n;
-}
-
-void CountMinSketch::UpdatePrehashed(PrehashedColumns cols, std::size_t n) {
-  if (conservative_update_) {
     for (std::size_t i = 0; i < n; ++i) {
       table_.AddConservative(cols.At(i), 1);
     }
     total_ += n;
     return;
   }
-  // Plain CountMin never reads the item identity on ingest, so the SoA
-  // path hands the table the hash column alone.
+  // Plain CountMin never reads the item identity on ingest, so the table
+  // gets the hash column alone.
   table_.AddPrehashed(cols.hashes, n);
   total_ += n;
 }
@@ -230,15 +217,10 @@ void CountMinHeavyHitters::UpdateBatch(const item_t* data, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) Update(MakePrehashed(data[i]));
 }
 
-void CountMinHeavyHitters::UpdatePrehashed(const PrehashedItem* data,
+void CountMinHeavyHitters::UpdatePrehashed(PrehashedColumns cols,
                                            std::size_t n) {
   // Candidate tracking interleaves a read after every write, so the loop is
   // per-item — but sketch add and estimate reuse the caller's prehash.
-  for (std::size_t i = 0; i < n; ++i) Update(data[i]);
-}
-
-void CountMinHeavyHitters::UpdatePrehashed(PrehashedColumns cols,
-                                           std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) Update(cols.At(i));
 }
 

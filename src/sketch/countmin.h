@@ -72,11 +72,8 @@ class CountMinSketch {
   void UpdateBatch(const item_t* data, std::size_t n);
 
   /// Adds `n` already-prehashed elements (each with count 1). The columnar
-  /// hot path: no hashing beyond the per-row remix.
-  void UpdatePrehashed(const PrehashedItem* data, std::size_t n);
-
-  /// SoA form of the columnar hot path: bucket derivation reads only the
-  /// hash column, through unit-stride SIMD kernels.
+  /// hot path: no hashing beyond the per-row remix, and bucket derivation
+  /// reads only the hash column, through unit-stride SIMD kernels.
   void UpdatePrehashed(PrehashedColumns cols, std::size_t n);
 
   /// Zeroes all counters; geometry, seed and hash derivations are kept.
@@ -168,9 +165,6 @@ class CountMinHeavyHitters {
   void UpdateBatch(const item_t* data, std::size_t n);
 
   /// Feeds `n` already-prehashed elements.
-  void UpdatePrehashed(const PrehashedItem* data, std::size_t n);
-
-  /// SoA form: per-item candidate tracking, rebuilt pairs from the columns.
   void UpdatePrehashed(PrehashedColumns cols, std::size_t n);
 
   /// Merges a tracker with the same phi, geometry and seed: sketches add,

@@ -69,12 +69,8 @@ class CountSketch {
   /// Adds `n` already-prehashed elements (each with count 1), row-major and
   /// cache-blocked: per row the counter pointer, row seed and sign hash are
   /// hoisted, so the inner loop is one remix, one sign evaluation and an
-  /// add.
-  void UpdatePrehashed(const PrehashedItem* data, std::size_t n);
-
-  /// SoA form: buckets derive from the hash column, signs from the item
-  /// column, both through unit-stride SIMD kernels; replay order — and
-  /// hence the FP row-norm stream — is identical to the AoS path.
+  /// add. Buckets derive from the hash column, signs from the item column,
+  /// both through unit-stride SIMD kernels.
   void UpdatePrehashed(PrehashedColumns cols, std::size_t n);
 
   /// Zeroes all counters and row norms; geometry and hashes are kept.
@@ -179,9 +175,6 @@ class CountSketchHeavyHitters {
   void UpdateBatch(const item_t* data, std::size_t n);
 
   /// Feeds `n` already-prehashed elements.
-  void UpdatePrehashed(const PrehashedItem* data, std::size_t n);
-
-  /// SoA form: per-item candidate tracking, rebuilt pairs from the columns.
   void UpdatePrehashed(PrehashedColumns cols, std::size_t n);
 
   /// Merges a tracker with the same phi, geometry and seed: sketches add,

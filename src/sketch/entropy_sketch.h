@@ -14,7 +14,7 @@
 /// Streaming estimators for the empirical entropy H(g) of the consumed
 /// stream. Theorem 5 of the paper reduces entropy estimation over P to
 /// multiplicative estimation of H(g) on L; the substrate it cites ([25],
-/// Harvey–Nelson–Onak) is substituted here (see DESIGN.md §3.4) by:
+/// Harvey–Nelson–Onak) is substituted here by:
 ///  - EntropyMleEstimator: exact plug-in entropy over a frequency map of L
 ///    (space O(F0(L)), still sublinear in n); optional Miller–Madow bias
 ///    correction; also computes the paper's H_pn(g) variant.
@@ -44,13 +44,8 @@ class EntropyMleEstimator {
 
   /// Feeds `n` already-prehashed elements (the frequency map never
   /// consumes the prehash; scalar fallback keeps the paths bit-identical).
-  void UpdatePrehashed(const PrehashedItem* data, std::size_t n) {
-    UpdatePrehashedByLoop(*this, data, n);
-  }
-
-  /// SoA form: same scalar fallback over the item column.
   void UpdatePrehashed(PrehashedColumns cols, std::size_t n) {
-    UpdatePrehashedColsByLoop(*this, cols, n);
+    UpdatePrehashedByLoop(*this, cols, n);
   }
 
   /// Merges another frequency map (exact: counts add pointwise).
@@ -128,14 +123,8 @@ class AmsEntropySketch {
   /// Feeds `n` already-prehashed elements (the reservoir is RNG-driven and
   /// never consumes the prehash; scalar fallback keeps the paths
   /// bit-identical, RNG sequence included).
-  void UpdatePrehashed(const PrehashedItem* data, std::size_t n) {
-    UpdatePrehashedByLoop(*this, data, n);
-  }
-
-  /// SoA form: same scalar fallback over the item column (RNG sequence
-  /// included).
   void UpdatePrehashed(PrehashedColumns cols, std::size_t n) {
-    UpdatePrehashedColsByLoop(*this, cols, n);
+    UpdatePrehashedByLoop(*this, cols, n);
   }
 
   /// Merges a same-geometry, same-seed sketch: each atom keeps its holding

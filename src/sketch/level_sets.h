@@ -106,11 +106,6 @@ class IndykWoodruffEstimator {
   }
 
   /// Feeds `n` already-prehashed elements.
-  void UpdatePrehashed(const PrehashedItem* data, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) Update(data[i]);
-  }
-
-  /// SoA form: per-item depth routing keeps this a per-item loop.
   void UpdatePrehashed(PrehashedColumns cols, std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) Update(cols.At(i));
   }
@@ -214,13 +209,8 @@ class ExactLevelSets {
 
   /// Feeds `n` already-prehashed elements (exact counts never consume the
   /// prehash; scalar fallback keeps the paths bit-identical).
-  void UpdatePrehashed(const PrehashedItem* data, std::size_t n) {
-    UpdatePrehashedByLoop(*this, data, n);
-  }
-
-  /// SoA form: same scalar fallback over the item column.
   void UpdatePrehashed(PrehashedColumns cols, std::size_t n) {
-    UpdatePrehashedColsByLoop(*this, cols, n);
+    UpdatePrehashedByLoop(*this, cols, n);
   }
 
   /// Merges another reference structure with identical discretization

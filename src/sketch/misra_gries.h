@@ -31,13 +31,8 @@ class MisraGries {
 
   /// Feeds `n` already-prehashed elements (the counter map never consumes
   /// the prehash; scalar fallback keeps the paths bit-identical).
-  void UpdatePrehashed(const PrehashedItem* data, std::size_t n) {
-    UpdatePrehashedByLoop(*this, data, n);
-  }
-
-  /// SoA form: same scalar fallback over the item column.
   void UpdatePrehashed(PrehashedColumns cols, std::size_t n) {
-    UpdatePrehashedColsByLoop(*this, cols, n);
+    UpdatePrehashedByLoop(*this, cols, n);
   }
 
   /// Forgets all counters and error state; k is kept.

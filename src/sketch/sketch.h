@@ -36,23 +36,27 @@
 ///    `Update`, but sketches with array-shaped state (CountMin,
 ///    CountSketch, AMS) specialize it into row-major tight loops that hoist
 ///    hash/row lookups out of the per-item path.
-///  - `void UpdatePrehashed(const PrehashedItem* data, std::size_t n)` —
-///    feed `n` elements whose shared prehash (util/hash.h) was already
-///    computed by the caller. Bit-identical in effect to `UpdateBatch` on
-///    the same items: counter-array sketches derive their per-row buckets
-///    from `hash` via RemixHash (the same derivation their scalar `Update`
-///    performs internally), while map/heap/reservoir summaries fall back to
-///    `UpdatePrehashedByLoop`, which replays scalar `Update(item)`. This is
-///    the columnar entry point Monitor's two-stage ingest pipeline fans a
-///    prehashed batch through — one strong hash per item for the whole
-///    summary set instead of one per summary per row.
-///  - `void UpdatePrehashed(PrehashedColumns cols, std::size_t n)` — the
-///    SoA form of the same entry point: `cols.items[i]` / `cols.hashes[i]`
-///    as parallel arrays. Bit-identical in effect to the AoS overload on
-///    the same items; counter-array sketches run it through the `_cols`
-///    SIMD kernels (unit-stride loads instead of deinterleave shuffles),
-///    everything else falls back to `UpdatePrehashedColsByLoop`. This is
-///    what ShardedMonitor's column ring batches feed.
+///  - `void UpdatePrehashed(PrehashedColumns cols, std::size_t n)` — feed
+///    `n` elements whose shared prehash (util/hash.h) was already computed
+///    by the caller, as parallel columns `cols.items[i]` / `cols.hashes[i]`.
+///    Bit-identical in effect to `UpdateBatch` on the same items:
+///    counter-array sketches derive their per-row buckets from the hash
+///    column via RemixHash (the same derivation their scalar `Update`
+///    performs internally) through the SIMD row kernels, while
+///    map/heap/reservoir summaries fall back to `UpdatePrehashedByLoop`,
+///    which replays scalar `Update(item)`. This is the one columnar entry
+///    point: Monitor's two-stage ingest pipeline fans each prehashed chunk
+///    through it — one strong hash per item for the whole summary set
+///    instead of one per summary per row — and ShardedMonitor's column
+///    rings feed it directly.
+///
+///    The frequency-weighted estimators (Monitor, FkEstimator,
+///    EntropyEstimator, F1/F2HeavyHitterEstimator) take a third argument,
+///    `UpdatePrehashed(cols, n, count_t weight = 1)`: each element then
+///    carries `weight` units, the round(1/p) correction of sampled ingest
+///    (core/overload.h). Weight 1 runs the batch path; any other weight
+///    runs a per-item weighted-add loop. The sketch layer keeps the
+///    two-argument form — nothing feeds it weighted batches.
 ///  - `void Merge(const S& other)` — fold `other` into `*this` so the
 ///    result summarizes the concatenated input. Preconditions (identical
 ///    geometry and seed) are enforced loudly via SUBSTREAM_CHECK: merging
@@ -111,14 +115,6 @@ struct HasUpdatePrehashed : std::false_type {};
 template <typename S>
 struct HasUpdatePrehashed<
     S, std::void_t<decltype(std::declval<S&>().UpdatePrehashed(
-           std::declval<const PrehashedItem*>(), std::declval<std::size_t>()))>>
-    : std::true_type {};
-
-template <typename, typename = void>
-struct HasUpdatePrehashedCols : std::false_type {};
-template <typename S>
-struct HasUpdatePrehashedCols<
-    S, std::void_t<decltype(std::declval<S&>().UpdatePrehashed(
            std::declval<PrehashedColumns>(), std::declval<std::size_t>()))>>
     : std::true_type {};
 
@@ -175,7 +171,6 @@ inline constexpr bool IsMergeableSummary =
     sketch_internal::HasUpdate<S>::value &&
     sketch_internal::HasUpdateBatch<S>::value &&
     sketch_internal::HasUpdatePrehashed<S>::value &&
-    sketch_internal::HasUpdatePrehashedCols<S>::value &&
     sketch_internal::HasMerge<S>::value &&
     sketch_internal::HasMergeCompatibleWith<S>::value &&
     sketch_internal::HasReset<S>::value &&
@@ -187,7 +182,7 @@ inline constexpr bool IsMergeableSummary =
 #define SUBSTREAM_ASSERT_MERGEABLE_SUMMARY(S)                          \
   static_assert(::substream::IsMergeableSummary<S>,                    \
                 #S " does not satisfy the mergeable-summary contract "  \
-                   "(Update/UpdateBatch/UpdatePrehashed[AoS+SoA]/"      \
+                   "(Update/UpdateBatch/UpdatePrehashed/"               \
                    "Merge/MergeCompatibleWith/Reset/SpaceBytes/"        \
                    "Serialize/Deserialize)")
 
@@ -232,23 +227,14 @@ inline void UpdateBatchByLoop(S& summary, const item_t* data, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) summary.Update(data[i]);
 }
 
-/// Default `UpdatePrehashed` body: replays scalar `Update(item)` so the
-/// result is bit-identical to the scalar and batched paths. Summaries whose
-/// per-item work never consumes the prehash (hash maps, heaps, reservoirs)
-/// delegate to this; counter-array sketches override with loops that derive
-/// buckets from the prehash directly.
+/// Default `UpdatePrehashed` body: replays scalar `Update(item)` over the
+/// item column so the result is bit-identical to the scalar and batched
+/// paths. Summaries whose per-item work never consumes the prehash (hash
+/// maps, heaps, reservoirs) delegate to this; counter-array sketches
+/// override with loops that derive buckets from the hash column directly.
 template <typename S>
-inline void UpdatePrehashedByLoop(S& summary, const PrehashedItem* data,
+inline void UpdatePrehashedByLoop(S& summary, PrehashedColumns cols,
                                   std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) summary.Update(data[i].item);
-}
-
-/// Default SoA `UpdatePrehashed` body: the column-view twin of
-/// UpdatePrehashedByLoop — replays scalar `Update(item)` over the item
-/// column, so AoS and SoA ingestion of the same stream stay bit-identical.
-template <typename S>
-inline void UpdatePrehashedColsByLoop(S& summary, PrehashedColumns cols,
-                                      std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) summary.Update(cols.items[i]);
 }
 

@@ -32,13 +32,8 @@ class SpaceSaving {
 
   /// Feeds `n` already-prehashed elements (the counter map never consumes
   /// the prehash; scalar fallback keeps the paths bit-identical).
-  void UpdatePrehashed(const PrehashedItem* data, std::size_t n) {
-    UpdatePrehashedByLoop(*this, data, n);
-  }
-
-  /// SoA form: same scalar fallback over the item column.
   void UpdatePrehashed(PrehashedColumns cols, std::size_t n) {
-    UpdatePrehashedColsByLoop(*this, cols, n);
+    UpdatePrehashedByLoop(*this, cols, n);
   }
 
   /// Merges another k-counter summary (Agarwal et al. mergeability):

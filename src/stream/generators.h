@@ -10,7 +10,7 @@
 
 /// \file generators.h
 /// Synthetic workload generators. These stand in for the NetFlow-style
-/// packet streams motivating the paper (see DESIGN.md §3.4): items are flow
+/// packet streams motivating the paper (see README.md): items are flow
 /// identifiers, and skewed (Zipf) flow-size distributions are the standard
 /// model in the cited measurement literature [17, 18, 22].
 

@@ -1,6 +1,6 @@
 /// End-to-end integration tests: original stream P -> Bernoulli sampler ->
 /// every estimator of the library, checked against exact statistics of P.
-/// This is the full pipeline a monitor deployment would run (DESIGN.md §3).
+/// This is the full pipeline a monitor deployment would run.
 
 #include <cmath>
 

@@ -266,7 +266,9 @@ TEST(PrometheusTextTest, LineFormatValidatorOnLiveRegistry) {
     // +Inf bucket == _count, and no finite bucket exceeds it.
     EXPECT_EQ(inf, count_series[base]) << base;
     EXPECT_LE(last_bucket[base], inf) << base;
-    if (kTelemetryEnabled) EXPECT_EQ(inf, 3u) << base;
+    if (kTelemetryEnabled) {
+      EXPECT_EQ(inf, 3u) << base;
+    }
   }
 }
 

@@ -82,8 +82,8 @@ void ExpectDispatchEquivalence(Factory make) {
   DispatchGuard guard;
   for (std::size_t n : kSizes) {
     ASSERT_LE(n, s.size());
-    std::vector<PrehashedItem> column(n);
-    PrehashColumn(s.data(), n, column.data());
+    std::vector<std::uint64_t> hashes(n);
+    PrehashColumnSoA(s.data(), n, hashes.data());
 
     ASSERT_TRUE(kernels::SetActive(simd::Isa::kScalar));
     auto reference = make();
@@ -101,7 +101,7 @@ void ExpectDispatchEquivalence(Factory make) {
           << "per-item Update state differs from scalar reference";
 
       auto batched = make();
-      batched.UpdatePrehashed(column.data(), column.size());
+      batched.UpdatePrehashed(PrehashedColumns{s.data(), hashes.data()}, n);
       EXPECT_EQ(Bytes(batched), want)
           << "UpdatePrehashed state differs from scalar reference";
     }
@@ -114,8 +114,8 @@ void ExpectDispatchEquivalence(Factory make) {
 template <typename Factory>
 void ExpectDispatchEquivalenceOnStream(Factory make, const Stream& s) {
   DispatchGuard guard;
-  std::vector<PrehashedItem> column(s.size());
-  PrehashColumn(s.data(), s.size(), column.data());
+  std::vector<std::uint64_t> hashes(s.size());
+  PrehashColumnSoA(s.data(), s.size(), hashes.data());
 
   ASSERT_TRUE(kernels::SetActive(simd::Isa::kScalar));
   auto reference = make();
@@ -133,7 +133,8 @@ void ExpectDispatchEquivalenceOnStream(Factory make, const Stream& s) {
         << "per-item Update state differs from scalar reference";
 
     auto batched = make();
-    batched.UpdatePrehashed(column.data(), column.size());
+    batched.UpdatePrehashed(PrehashedColumns{s.data(), hashes.data()},
+                            s.size());
     EXPECT_EQ(Bytes(batched), want)
         << "UpdatePrehashed state differs from scalar reference";
   }
@@ -214,8 +215,8 @@ TEST(SimdEquivalenceTest, CountMinOddGeometries) {
 
 TEST(SimdEquivalenceTest, CountMinCellWidthMatrix) {
   // Full cell-width x bucket-placement matrix: every compact storage
-  // policy must stay byte-identical across dispatch levels (the packed
-  // AVX-512 increment kernel and the typed scalar loops share this gate).
+  // policy must stay byte-identical across dispatch levels (the vector
+  // bucket derivations and the fused scalar loops share this gate).
   for (CellWidth cw : {CellWidth::k8, CellWidth::k16, CellWidth::k32,
                        CellWidth::k64}) {
     for (bool pow2 : {false, true}) {
@@ -251,7 +252,7 @@ TEST(SimdEquivalenceTest, CountSketchCellWidthMatrix) {
 
 TEST(SimdEquivalenceTest, CountMinCellWidthNonPow2Width) {
   // Non-power-of-two width keeps fast-range placement in the narrow typed
-  // loops and the packed kernel's bucket derivation.
+  // loops and the vector bucket derivation.
   for (CellWidth cw : {CellWidth::k8, CellWidth::k16, CellWidth::k32}) {
     ExpectDispatchEquivalence([cw] {
       return CountMinSketch(/*depth=*/3, /*width=*/389,
@@ -264,8 +265,8 @@ TEST(SimdEquivalenceTest, CountMinCellWidthNonPow2Width) {
 TEST(SimdEquivalenceTest, CountMinSpillBoundary) {
   // Drive a hot bucket exactly to, one below, and one above a narrow
   // cell's saturation point under both overflow policies. The spill cold
-  // path must fire identically from the packed vector kernel's replay and
-  // from the scalar loops, and the resulting level chain (or saturated
+  // path must fire identically from the vector levels' replay and from
+  // the scalar loops, and the resulting level chain (or saturated
   // cell) must serialize byte-equal at every dispatch level. The narrow
   // estimates must also match a 64-bit sketch of the same seed exactly
   // (spill mode only; saturate mode deliberately clamps).

@@ -1,15 +1,19 @@
 /// Property test for the columnar (SoA) ingest path: for EVERY summary
-/// class, feeding the same prehashed input as
-///   (a) an interleaved PrehashedItem array (UpdatePrehashed AoS), and
-///   (b) an item/hash column pair (UpdatePrehashed(PrehashedColumns)),
-/// must leave the summary in bit-identical serialized state — at every
-/// SIMD dispatch level the host supports, and at the batch sizes that sit
-/// on the kernel boundaries: 0 and 1 (empty/degenerate), 63/64/65 (the
-/// 64-item micro-block edge), 1023/1024/1025 (the cache-block and prehash
-/// chunk edge). This pins the tentpole invariant of the columnar batch
-/// fabric: the layout is a pure change of representation, never of
-/// semantics — including the FP row-norm accumulation order in CountSketch
-/// and the PRNG consumption order in the reservoir sketches.
+/// class, the serialized state after UpdatePrehashed(PrehashedColumns, n)
+/// must not depend on how the batch is cut into column views. A batch of n
+/// prehashed items fed as one view must leave the summary bit-identical to
+///   (a) the same batch fed as two views split at a kernel edge (1, 63, 64,
+///       65, n/2, n-1), the second view starting mid-array and therefore
+///       off the 64-byte alignment of the first, and
+///   (b) the same batch fed as n one-element views (every item a tail),
+/// at every SIMD dispatch level the host supports, and at the batch sizes
+/// that sit on the kernel boundaries: 0 and 1 (empty/degenerate),
+/// 63/64/65 (the 64-item micro-block edge), 1023/1024/1025 (the
+/// cache-block and prehash chunk edge). This pins that a column view is a
+/// pure change of representation, never of semantics — including the FP
+/// row-norm accumulation order in CountSketch and the PRNG consumption
+/// order in the reservoir sketches. Agreement of the column path with
+/// scalar Update and UpdateBatch is pinned by ingest_equivalence_test.
 
 #include <cstddef>
 #include <cstdint>
@@ -44,28 +48,26 @@ constexpr std::size_t kBoundarySizes[] = {0, 1, 63, 64, 65, 1023, 1024, 1025};
 constexpr std::size_t kMaxItems = 1025;
 
 /// Fixture prefix shared by every size: columns over a fixed Zipf stream,
-/// so size N is always the same N items on both paths.
+/// so size N is always the same N items on every cut.
 struct Fixture {
-  std::vector<PrehashedItem> aos;
-  std::vector<std::uint64_t> items;
+  Stream items;
   std::vector<std::uint64_t> hashes;
 
   static const Fixture& Get() {
     static const Fixture fixture = [] {
       Fixture f;
       ZipfGenerator generator(4096, 1.2, 42);
-      const Stream s = Materialize(generator, kMaxItems);
-      f.aos.resize(s.size());
-      PrehashColumn(s.data(), s.size(), f.aos.data());
-      f.items.resize(s.size());
-      f.hashes.resize(s.size());
-      for (std::size_t i = 0; i < s.size(); ++i) {
-        f.items[i] = f.aos[i].item;
-        f.hashes[i] = f.aos[i].hash;
-      }
+      f.items = Materialize(generator, kMaxItems);
+      f.hashes.resize(f.items.size());
+      PrehashColumnSoA(f.items.data(), f.items.size(), f.hashes.data());
       return f;
     }();
     return fixture;
+  }
+
+  /// The column view starting at item `offset`.
+  PrehashedColumns From(std::size_t offset) const {
+    return PrehashedColumns{items.data() + offset, hashes.data() + offset};
   }
 };
 
@@ -76,26 +78,48 @@ std::vector<std::uint8_t> Bytes(const S& summary) {
   return writer.Take();
 }
 
-/// Runs the AoS-vs-SoA comparison at every boundary size under every
-/// dispatch level this host supports, restoring the entry level after.
+/// Restores the entry dispatch level even when a test fails mid-way.
+class DispatchGuard {
+ public:
+  DispatchGuard() : entry_(kernels::ActiveIsa()) {}
+  ~DispatchGuard() { kernels::SetActive(entry_); }
+
+ private:
+  simd::Isa entry_;
+};
+
+/// Runs the one-view vs split-view vs one-element-view comparison at every
+/// boundary size under every dispatch level this host supports.
 template <typename Factory>
 void ExpectColumnEquivalence(Factory make) {
   const Fixture& f = Fixture::Get();
-  const simd::Isa entry_isa = kernels::ActiveIsa();
+  DispatchGuard guard;
   for (simd::Isa isa : kernels::AvailableIsas()) {
-    if (!kernels::SetActive(isa)) continue;
+    ASSERT_TRUE(kernels::SetActive(isa));
     for (std::size_t n : kBoundarySizes) {
-      auto aos = make();
-      auto soa = make();
-      aos.UpdatePrehashed(f.aos.data(), n);
-      soa.UpdatePrehashed(PrehashedColumns{f.items.data(), f.hashes.data()},
-                          n);
-      EXPECT_EQ(Bytes(aos), Bytes(soa))
-          << "AoS vs SoA serialized state differs at n=" << n
-          << " isa=" << simd::Name(isa);
+      SCOPED_TRACE(testing::Message()
+                   << "isa=" << simd::Name(isa) << " n=" << n);
+      auto whole = make();
+      whole.UpdatePrehashed(f.From(0), n);
+      const std::vector<std::uint8_t> want = Bytes(whole);
+
+      for (std::size_t split : {std::size_t{1}, std::size_t{63},
+                                std::size_t{64}, std::size_t{65}, n / 2,
+                                n - (n > 0 ? 1 : 0)}) {
+        if (split > n) continue;
+        auto cut = make();
+        cut.UpdatePrehashed(f.From(0), split);
+        cut.UpdatePrehashed(f.From(split), n - split);
+        EXPECT_EQ(want, Bytes(cut))
+            << "one view vs two views split at " << split << " differs";
+      }
+
+      auto single = make();
+      for (std::size_t i = 0; i < n; ++i) single.UpdatePrehashed(f.From(i), 1);
+      EXPECT_EQ(want, Bytes(single))
+          << "one view vs one-element views differs";
     }
   }
-  kernels::SetActive(entry_isa);
 }
 
 TEST(SoaEquivalenceTest, CountMinSketch) {
@@ -275,25 +299,6 @@ TEST(SoaEquivalenceTest, MonitorFullPipeline) {
     config.max_f2_width = 1 << 10;
     return Monitor(config, 61);
   });
-}
-
-TEST(SoaEquivalenceTest, ScalarUpdateBatchMatchesColumns) {
-  // UpdateBatch now routes through the column chunker
-  // (ForEachPrehashedChunkCols); pin that the plain batched entry point
-  // still matches per-item Update byte-for-byte at the chunk boundary
-  // sizes.
-  ZipfGenerator generator(4096, 1.2, 42);
-  const Stream s = Materialize(generator, kMaxItems);
-  for (std::size_t n : kBoundarySizes) {
-    MonitorConfig config;
-    config.p = 0.25;
-    config.universe = 1 << 14;
-    config.max_f2_width = 1 << 10;
-    Monitor scalar(config, 61), batched(config, 61);
-    for (std::size_t i = 0; i < n; ++i) scalar.Update(s[i]);
-    batched.UpdateBatch(s.data(), n);
-    EXPECT_EQ(Bytes(scalar), Bytes(batched)) << "n=" << n;
-  }
 }
 
 }  // namespace
