@@ -4,9 +4,13 @@
 /// distributed-monitors setting of the related work [16, 36]: several
 /// routers each sample and sketch locally, a collector merges.
 
+#include <array>
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "core/substream.h"
+#include "serde/serde.h"
 
 namespace substream {
 namespace {
@@ -304,6 +308,241 @@ TEST(MergeTest, DistributedMonitorsPipeline) {
   const double f2_est =
       (cs_a.EstimateF2() - (1.0 - p) * f1_sampled) / (p * p);
   EXPECT_TRUE(WithinFactor(f2_est, exact.Fk(2), 1.5));
+}
+
+// ---------------------------------------------------------------------------
+// Decayed-merge byte pins. Every weight-taking summary folds a second
+// summary in at weights {1, 0.5, 0.01}; the CRC-32 of the merged wire
+// record is pinned, so any change to the merge arithmetic — rounding,
+// zero-skipping, total bookkeeping, candidate refresh and eviction order —
+// fails here even when the estimates stay plausible. Counter-array classes
+// are pinned at 64-bit and 16-bit cells (the narrow side runs the
+// level-summed merge path). The plain one-argument Merge must serialize
+// exactly like the explicit weight-1 merge.
+
+constexpr std::array<double, 3> kPinWeights = {1.0, 0.5, 0.01};
+using PinCrcs = std::array<std::uint32_t, 3>;
+
+struct PinStreams {
+  Stream a;
+  Stream b;
+};
+
+const PinStreams& GetPinStreams() {
+  static const PinStreams* streams = [] {
+    auto* s = new PinStreams;
+    ZipfGenerator ga(1500, 1.1, 101);
+    ZipfGenerator gb(1500, 1.3, 202);
+    s->a = Materialize(ga, 6000);
+    s->b = Materialize(gb, 5000);
+    return s;
+  }();
+  return *streams;
+}
+
+template <typename S>
+std::uint32_t WireCrc(const S& summary) {
+  serde::Writer writer;
+  summary.Serialize(writer);
+  return serde::Crc32(writer.bytes().data(), writer.size());
+}
+
+template <typename S>
+void WeightedMerge(S& into, const S& from, double weight) {
+  into.MergeScaled(from, weight);
+}
+
+/// Builds two summaries with `make`, feeds them the two pinned Zipf
+/// streams, merges the second into the first at each pinned weight and
+/// compares the merged record's CRC with `expected`.
+template <typename Make>
+void ExpectMergePins(Make make, const PinCrcs& expected) {
+  const PinStreams& s = GetPinStreams();
+  for (std::size_t w = 0; w < kPinWeights.size(); ++w) {
+    auto into = make();
+    auto from = make();
+    into.UpdateBatch(s.a.data(), s.a.size());
+    from.UpdateBatch(s.b.data(), s.b.size());
+    WeightedMerge(into, from, kPinWeights[w]);
+    EXPECT_EQ(WireCrc(into), expected[w]) << "weight " << kPinWeights[w];
+  }
+  auto into = make();
+  auto from = make();
+  into.UpdateBatch(s.a.data(), s.a.size());
+  from.UpdateBatch(s.b.data(), s.b.size());
+  into.Merge(from);
+  EXPECT_EQ(WireCrc(into), expected[0]) << "plain Merge vs weight 1";
+}
+
+TEST(MergePinTest, CountMinSketch) {
+  ExpectMergePins([] { return CountMinSketch(4, 256, false, 301); },
+                  PinCrcs{3793147752u, 2426342152u, 3496704773u});
+  ExpectMergePins(
+      [] {
+        return CountMinSketch(4, 256, false, 301,
+                              CounterTableOptions{CellWidth::k16});
+      },
+      PinCrcs{2771067377u, 1164481617u, 338019859u});
+}
+
+TEST(MergePinTest, CountMinHeavyHitters) {
+  ExpectMergePins([] { return CountMinHeavyHitters(0.5, 0.5, 0.05, 302); },
+                  PinCrcs{3901797770u, 4263948902u, 3444420574u});
+  ExpectMergePins(
+      [] {
+        return CountMinHeavyHitters(0.5, 0.5, 0.05, 302,
+                                    CounterTableOptions{CellWidth::k16});
+      },
+      PinCrcs{3976872179u, 494863080u, 200403866u});
+}
+
+TEST(MergePinTest, CountSketch) {
+  ExpectMergePins([] { return CountSketch(5, 256, 303); }, PinCrcs{3613310730u, 3934123547u, 1421102496u});
+  ExpectMergePins(
+      [] {
+        return CountSketch(5, 256, 303, CounterTableOptions{CellWidth::k16});
+      },
+      PinCrcs{1875162616u, 1259643689u, 2737095592u});
+}
+
+TEST(MergePinTest, CountSketchHeavyHitters) {
+  ExpectMergePins(
+      [] { return CountSketchHeavyHitters(0.9, 0.5, 0.05, 304); },
+      PinCrcs{1827809253u, 2841353809u, 653626530u});
+  ExpectMergePins(
+      [] {
+        return CountSketchHeavyHitters(0.9, 0.5, 0.05, 304,
+                                       CounterTableOptions{CellWidth::k16});
+      },
+      PinCrcs{103311067u, 2324816040u, 802126174u});
+}
+
+LevelSetParams PinLevelSetParams(CellWidth cell_width) {
+  // Small pools and a low recoverability bar, so both the candidate
+  // eviction and the exact-map overflow run during ingest and merge.
+  LevelSetParams params;
+  params.max_depth = 8;
+  params.heavy_factor = 0.05;
+  params.cs_width = 64;
+  params.candidate_capacity = 8;
+  params.exact_capacity = 96;
+  params.cell_width = cell_width;
+  return params;
+}
+
+TEST(MergePinTest, IndykWoodruffEstimator) {
+  ExpectMergePins(
+      [] {
+        return IndykWoodruffEstimator(PinLevelSetParams(CellWidth::k64), 305);
+      },
+      PinCrcs{835804217u, 222908577u, 732868186u});
+  ExpectMergePins(
+      [] {
+        return IndykWoodruffEstimator(PinLevelSetParams(CellWidth::k16), 305);
+      },
+      PinCrcs{788185675u, 806996820u, 1294695432u});
+}
+
+TEST(MergePinTest, ExactLevelSets) {
+  ExpectMergePins([] { return ExactLevelSets(0.25, 0.5); }, PinCrcs{627037931u, 3249937017u, 592423277u});
+}
+
+TEST(MergePinTest, EntropyMleEstimator) {
+  ExpectMergePins([] { return EntropyMleEstimator(); }, PinCrcs{3358198454u, 1238174092u, 1941876466u});
+}
+
+TEST(MergePinTest, EntropyEstimator) {
+  ExpectMergePins([] { return EntropyEstimator(EntropyParams{}, 306); },
+                  PinCrcs{1841754529u, 3279916563u, 3266881676u});
+}
+
+FkParams PinFkParams(CollisionBackend backend, CellWidth cell_width) {
+  FkParams params;
+  params.universe = 2048;
+  params.epsilon = 0.25;
+  params.backend = backend;
+  params.cell_width = cell_width;
+  return params;
+}
+
+TEST(MergePinTest, FkEstimatorSketchBackend) {
+  ExpectMergePins(
+      [] {
+        return FkEstimator(
+            PinFkParams(CollisionBackend::kSketch, CellWidth::k64), 307);
+      },
+      PinCrcs{1822520554u, 1222383255u, 1181655996u});
+  ExpectMergePins(
+      [] {
+        return FkEstimator(
+            PinFkParams(CollisionBackend::kSketch, CellWidth::k16), 307);
+      },
+      PinCrcs{3247716170u, 3530670209u, 4131673043u});
+}
+
+TEST(MergePinTest, FkEstimatorExactBackend) {
+  ExpectMergePins(
+      [] {
+        return FkEstimator(
+            PinFkParams(CollisionBackend::kExactCollisions, CellWidth::k64),
+            307);
+      },
+      PinCrcs{1910663423u, 2939320992u, 3504511382u});
+}
+
+HeavyHitterParams PinHeavyHitterParams(CellWidth cell_width) {
+  HeavyHitterParams params;
+  params.alpha = 0.3;
+  params.epsilon = 0.5;
+  params.cell_width = cell_width;
+  return params;
+}
+
+TEST(MergePinTest, F1HeavyHitterEstimator) {
+  ExpectMergePins(
+      [] {
+        return F1HeavyHitterEstimator(PinHeavyHitterParams(CellWidth::k64),
+                                      308);
+      },
+      PinCrcs{1061206156u, 3056342895u, 3531592137u});
+  ExpectMergePins(
+      [] {
+        return F1HeavyHitterEstimator(PinHeavyHitterParams(CellWidth::k16),
+                                      308);
+      },
+      PinCrcs{3721415008u, 34848961u, 1577842745u});
+}
+
+TEST(MergePinTest, F2HeavyHitterEstimator) {
+  ExpectMergePins(
+      [] {
+        return F2HeavyHitterEstimator(PinHeavyHitterParams(CellWidth::k64),
+                                      309);
+      },
+      PinCrcs{4292804125u, 686680656u, 1149560594u});
+  ExpectMergePins(
+      [] {
+        return F2HeavyHitterEstimator(PinHeavyHitterParams(CellWidth::k16),
+                                      309);
+      },
+      PinCrcs{2774178975u, 4256336293u, 2345345252u});
+}
+
+MonitorConfig PinMonitorConfig(CellWidth cell_width) {
+  MonitorConfig config;
+  config.universe = 2048;
+  config.hh_alpha = 0.3;
+  config.cell_width = cell_width;
+  return config;
+}
+
+TEST(MergePinTest, Monitor) {
+  ExpectMergePins(
+      [] { return Monitor(PinMonitorConfig(CellWidth::k64), 310); },
+      PinCrcs{1660327005u, 884749174u, 2664923644u});
+  ExpectMergePins(
+      [] { return Monitor(PinMonitorConfig(CellWidth::k16), 310); },
+      PinCrcs{937351317u, 2465338357u, 2859915604u});
 }
 
 }  // namespace
