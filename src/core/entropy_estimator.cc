@@ -82,35 +82,22 @@ bool EntropyEstimator::MergeCompatibleWith(
   return ams_->MergeCompatibleWith(*other.ams_);
 }
 
-void EntropyEstimator::Merge(const EntropyEstimator& other) {
-  SUBSTREAM_CHECK_MSG(MergeCompatibleWith(other),
-                      "merging entropy estimators with different "
-                      "configurations");
-  sampled_length_ += other.sampled_length_;
-  if (mle_) {
-    mle_->Merge(*other.mle_);
-  } else {
-    ams_->Merge(*other.ams_);
-  }
-}
-
-void EntropyEstimator::MergeScaled(const EntropyEstimator& other,
-                                   double weight) {
-  if (weight == 1.0) {
-    Merge(other);
-    return;
-  }
+void EntropyEstimator::Merge(const EntropyEstimator& other, double weight) {
   SUBSTREAM_CHECK_MSG(MergeCompatibleWith(other),
                       "merging entropy estimators with different "
                       "configurations");
   // The AMS reservoir holds sampled stream *positions*; there is no
   // meaningful way to scale a position's contribution, so decayed merges
   // are an MLE-backend feature (which is what Monitor uses).
-  SUBSTREAM_CHECK_MSG(static_cast<bool>(mle_),
+  SUBSTREAM_CHECK_MSG(weight == 1.0 || static_cast<bool>(mle_),
                       "decayed merge is unsupported for the AMS entropy "
                       "backend");
   sampled_length_ += ScaleCounter(other.sampled_length_, weight);
-  mle_->MergeScaled(*other.mle_, weight);
+  if (mle_) {
+    mle_->Merge(*other.mle_, weight);  // validates the weight
+  } else {
+    ams_->Merge(*other.ams_);
+  }
 }
 
 void EntropyEstimator::Reset() {

@@ -73,25 +73,23 @@ class EntropyEstimator {
   /// all three ingest paths stay bit-identical). With `weight` > 1
   /// (sampled ingest) each element carries `weight` units — MLE backend
   /// only: the AMS reservoir samples stream *positions* and cannot absorb
-  /// weighted occurrences (same restriction as MergeScaled); Monitor always
-  /// runs the MLE backend.
+  /// weighted occurrences (the same restriction as decayed merges); Monitor
+  /// always runs the MLE backend.
   void UpdatePrehashed(PrehashedColumns cols, std::size_t n,
                        count_t weight = 1);
 
   /// Merges an estimator built with the same parameters and seed. The MLE
   /// backends merge exactly; the AMS sketch merges via the distributed-
-  /// reservoir rule (see AmsEntropySketch::Merge).
-  void Merge(const EntropyEstimator& other);
+  /// reservoir rule (see AmsEntropySketch::Merge). A decayed merge
+  /// (`weight` < 1, in (0, 1]) scales the MLE counts, yielding the entropy
+  /// of the decayed empirical distribution; it aborts on the AMS backend,
+  /// whose reservoir positions cannot be weight-scaled (Monitor always
+  /// uses MLE).
+  void Merge(const EntropyEstimator& other, double weight = 1.0);
   /// True when Merge(other) preconditions hold, checked all the way
   /// down through nested summaries; the Collector uses this to reject
   /// decoded-but-incompatible records instead of tripping the abort.
   bool MergeCompatibleWith(const EntropyEstimator& other) const;
-
-  /// Decayed merge (MLE backends only — an AMS reservoir position cannot
-  /// be weight-scaled, and Monitor always uses MLE): counts contribute
-  /// scaled by `weight`, yielding the entropy of the decayed empirical
-  /// distribution. `weight` in (0, 1]; weight 1 delegates to Merge.
-  void MergeScaled(const EntropyEstimator& other, double weight);
 
   /// Clears all state; parameters, seed and backend are kept.
   void Reset();

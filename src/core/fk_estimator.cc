@@ -127,29 +127,15 @@ bool FkEstimator::MergeCompatibleWith(const FkEstimator& other) const {
   return exact_backend_->MergeCompatibleWith(*other.exact_backend_);
 }
 
-void FkEstimator::Merge(const FkEstimator& other) {
-  SUBSTREAM_CHECK_MSG(MergeCompatibleWith(other),
-                      "merging Fk estimators with different configurations");
-  sampled_length_ += other.sampled_length_;
-  if (sketch_backend_) {
-    sketch_backend_->Merge(*other.sketch_backend_);
-  } else {
-    exact_backend_->Merge(*other.exact_backend_);
-  }
-}
-
-void FkEstimator::MergeScaled(const FkEstimator& other, double weight) {
-  if (weight == 1.0) {
-    Merge(other);
-    return;
-  }
+void FkEstimator::Merge(const FkEstimator& other, double weight) {
   SUBSTREAM_CHECK_MSG(MergeCompatibleWith(other),
                       "merging Fk estimators with different configurations");
   sampled_length_ += ScaleCounter(other.sampled_length_, weight);
+  // The backends validate the weight.
   if (sketch_backend_) {
-    sketch_backend_->MergeScaled(*other.sketch_backend_, weight);
+    sketch_backend_->Merge(*other.sketch_backend_, weight);
   } else {
-    exact_backend_->MergeScaled(*other.exact_backend_, weight);
+    exact_backend_->Merge(*other.exact_backend_, weight);
   }
 }
 

@@ -167,19 +167,18 @@ class Monitor {
   /// this monitor summarizes the concatenation of both sampled streams.
   /// Mismatched configuration or seed aborts (mergeability requires
   /// identical sketch geometry and hash seeds).
-  void Merge(const Monitor& other);
-
-  /// Decayed merge for windowed roll-ups (WindowedMonitor's decay mode):
-  /// every *linear* counter of `other` contributes scaled by `weight`
-  /// (rounded back to the counter domain), so the merged monitor
-  /// approximates the monitor of the decayed stream in which each of
-  /// `other`'s items carries weight `weight` — including cross-window
-  /// collision terms for F2, by linearity of the underlying sketches.
-  /// The F0 estimator merges UNscaled: distinct-count state is a set, and
-  /// decay cannot shrink set membership — a decayed report's distinct
-  /// count covers every window still inside the horizon. `weight` must be
-  /// in (0, 1]; weight 1 is exactly Merge. Same preconditions as Merge.
-  void MergeScaled(const Monitor& other, double weight);
+  ///
+  /// A `weight` below 1 (in (0, 1]) is the decayed merge of windowed
+  /// roll-ups (WindowedMonitor's decay mode): every *linear* counter of
+  /// `other` contributes scaled by `weight` (rounded back to the counter
+  /// domain), so the merged monitor approximates the monitor of the
+  /// decayed stream in which each of `other`'s items carries weight
+  /// `weight` — including cross-window collision terms for F2, by
+  /// linearity of the underlying sketches. The F0 estimator merges
+  /// UNscaled: distinct-count state is a set, and decay cannot shrink set
+  /// membership — a decayed report's distinct count covers every window
+  /// still inside the horizon.
+  void Merge(const Monitor& other, double weight = 1.0);
 
   /// Returns every estimator to its freshly-constructed state, keeping
   /// configuration, seeds and allocations: ready for the next window.

@@ -331,15 +331,21 @@ void ShardedMonitor::PushBatch(std::size_t shard, Batch&& batch) {
   if (!rings_[shard]->TryPush(std::move(batch))) {
     // Ring full: the saturation case. Count it once per blocked push, time
     // the whole block (stall severity, not just the event), and back off
-    // (bounded by the options cap) until the worker frees a slot.
+    // (bounded by the options cap) until the worker frees a slot. The
+    // stall time is pipeline state (ShardedMonitorStats::stall_wait_ns),
+    // not telemetry, so it reads the clock directly: obs::NowNs() returns
+    // 0 in telemetry-off builds.
     ++producer_stalls_;
     PipelineMetrics::Get().producer_stalls.Inc();
-    const std::uint64_t start_ns = obs::NowNs();
+    const auto start = std::chrono::steady_clock::now();
     std::size_t spins = 0;
     do {
       BackoffPause(&spins, options_.stall_backoff_max_us);
     } while (!rings_[shard]->TryPush(std::move(batch)));
-    const std::uint64_t waited_ns = obs::NowNs() - start_ns;
+    const std::uint64_t waited_ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
     stall_wait_ns_ += waited_ns;
     PipelineMetrics::Get().stall_wait_ns.Inc(waited_ns);
   }

@@ -220,14 +220,28 @@ Monitor& WindowedMonitor::ScratchReset() const {
   return *scratch_;
 }
 
-Monitor WindowedMonitor::MergedOverLast(std::size_t k) const {
-  if (k == 0 || k > ring_.size()) k = ring_.size();
-  Monitor merged(config_, seed_);
+void WindowedMonitor::FoldWindows(Monitor& into, std::size_t k,
+                                  double decay) const {
   // Oldest-first merge order: deterministic, so two rings holding the same
   // per-window state roll up to byte-identical merged monitors.
   for (std::size_t age = k; age-- > 0;) {
-    merged.Merge(WindowAt(age));
+    // decay^age can underflow to 0 for old windows under aggressive decay.
+    // Clamp to the smallest normal double instead of skipping: every
+    // counter still rounds to zero (fully aged out), but the window's F0
+    // state merges unscaled as documented — distinct counts age out only
+    // by ring eviction, never by weight underflow. pow(1, age) is exactly
+    // 1, so decay 1 runs the exact merge.
+    const double weight =
+        std::max(std::pow(decay, static_cast<double>(age)),
+                 std::numeric_limits<double>::min());
+    into.Merge(WindowAt(age), weight);
   }
+}
+
+Monitor WindowedMonitor::MergedOverLast(std::size_t k) const {
+  if (k == 0 || k > ring_.size()) k = ring_.size();
+  Monitor merged(config_, seed_);
+  FoldWindows(merged, k, /*decay=*/1.0);
   return merged;
 }
 
@@ -235,26 +249,14 @@ MonitorReport WindowedMonitor::Report(std::size_t k) const {
   obs::ScopedTimer timer(WindowedMetrics::Get().report_ns);
   if (k == 0 || k > ring_.size()) k = ring_.size();
   Monitor& scratch = ScratchReset();
-  for (std::size_t age = k; age-- > 0;) {
-    scratch.Merge(WindowAt(age));
-  }
+  FoldWindows(scratch, k, /*decay=*/1.0);
   return scratch.Report();
 }
 
 MonitorReport WindowedMonitor::ReportDecayed() const {
   obs::ScopedTimer timer(WindowedMetrics::Get().report_decayed_ns);
   Monitor& scratch = ScratchReset();
-  for (std::size_t age = ring_.size(); age-- > 0;) {
-    // decay^age can underflow to 0 for old windows under aggressive decay.
-    // Clamp to the smallest normal double instead of skipping: every
-    // counter still rounds to zero (fully aged out), but the window's F0
-    // state merges unscaled as documented — distinct counts age out only
-    // by ring eviction, never by weight underflow.
-    const double weight =
-        std::max(std::pow(options_.decay, static_cast<double>(age)),
-                 std::numeric_limits<double>::min());
-    scratch.MergeScaled(WindowAt(age), weight);
-  }
+  FoldWindows(scratch, ring_.size(), options_.decay);
   return scratch.Report();
 }
 

@@ -32,10 +32,14 @@
 ///     summaries) to a monolithic Monitor fed only those windows' items —
 ///     the property `tests/windowed_monitor_test.cc` pins byte-for-byte.
 ///   - **Exponential decay** (`ReportDecayed()`): the window of age a
-///     contributes its counters scaled by decay^a (Monitor::MergeScaled),
-///     i.e. the report approximates the monitor of the decayed stream.
-///     Distinct counts merge unscaled (set membership cannot decay) and
-///     age out only by ring eviction; see Monitor::MergeScaled.
+///     contributes its counters scaled by decay^a (`Monitor::Merge` at
+///     weight decay^a), i.e. the report approximates the monitor of the
+///     decayed stream. Distinct counts merge unscaled (set membership
+///     cannot decay) and age out only by ring eviction; see
+///     Monitor::Merge.
+///
+///   Both modes run one fold over the ring, oldest window first; the
+///   sliding window is the fold at decay 1.
 ///
 /// Each window is an ordinary Monitor, so the wire format and
 /// checkpointing work per window: `Serialize()` writes a container record
@@ -222,6 +226,11 @@ class WindowedMonitor {
   std::size_t IndexOfAge(std::size_t age) const;
 
   Monitor& ScratchReset() const;
+
+  /// Merges the `k` newest windows into `into`, oldest first, the window
+  /// of age a at weight max(decay^a, DBL_MIN): weight 1 throughout for
+  /// decay 1.
+  void FoldWindows(Monitor& into, std::size_t k, double decay) const;
 
   /// Re-plan decision at a ring boundary, fed the closed (or adopted)
   /// window's report. Returns true when a geometry change was adopted, in

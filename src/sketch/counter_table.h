@@ -368,54 +368,36 @@ class CounterTable {
     }
   }
 
-  /// Pointwise counter sum. Callers enforce their merge preconditions
-  /// (same depth/width/seed, same pow2 flag and overflow policy) first; the
-  /// row seeds derive from the seed, so equal headers imply equal bucket
-  /// derivations. Mixed cell widths merge by promoting this table's base to
-  /// the wider side first.
-  void MergeAdd(const CounterTable& other) {
+  /// Pointwise counter sum at `weight`: every counter of `other`
+  /// contributes itself at weight 1 and `ScaleCounter(counter, weight)`
+  /// below it (a decayed merge). Sums are mod-2^64 in uint64, as in
+  /// AddAtFlat: cells decoded from untrusted records may add past the
+  /// signed range. Callers enforce their merge preconditions (same
+  /// depth/width/seed, same pow2 flag and overflow policy) and validate
+  /// `weight` first; the row seeds derive from the seed, so equal headers
+  /// imply equal bucket derivations. Mixed cell widths merge by promoting
+  /// this table's base to the wider side first.
+  void MergeAdd(const CounterTable& other, double weight = 1.0) {
     SUBSTREAM_CHECK(depth_ == other.depth_ && width_ == other.width_);
-    if (options_.cell_width == CellWidth::k64 &&
-        other.options_.cell_width == CellWidth::k64) {
-      for (std::size_t i = 0; i < cells_.size(); ++i) {
-        cells_[i] += other.cells_[i];
+    WithMergeScale(weight, [&](auto scale) {
+      if (options_.cell_width == CellWidth::k64 &&
+          other.options_.cell_width == CellWidth::k64) {
+        for (std::size_t i = 0; i < cells_.size(); ++i) {
+          cells_[i] = static_cast<CounterT>(
+              static_cast<std::uint64_t>(cells_[i]) +
+              static_cast<std::uint64_t>(scale(other.cells_[i])));
+        }
+        return;
       }
-      return;
-    }
-    if (other.options_.cell_width > options_.cell_width) {
-      PromoteBase(other.options_.cell_width);
-    }
-    const std::size_t n = NumCells();
-    for (std::size_t i = 0; i < n; ++i) {
-      const CounterT v = other.AtFlat(i);
-      if (v != CounterT{}) AddAtFlat(i, v);
-    }
-  }
-
-  /// Pointwise scaled counter sum for decayed merges: every counter of
-  /// `other` contributes `round(weight * counter)`, clamped to CounterT's
-  /// range by ScaleCounter (llround past 2^63 is UB and an unchecked cast
-  /// would wrap near-max cells). Same precondition story as MergeAdd;
-  /// `weight` is validated by the calling sketch.
-  void MergeAddScaled(const CounterTable& other, double weight) {
-    SUBSTREAM_CHECK(depth_ == other.depth_ && width_ == other.width_);
-    if (options_.cell_width == CellWidth::k64 &&
-        other.options_.cell_width == CellWidth::k64) {
-      for (std::size_t i = 0; i < cells_.size(); ++i) {
-        cells_[i] = static_cast<CounterT>(
-            static_cast<std::uint64_t>(cells_[i]) +
-            static_cast<std::uint64_t>(ScaleCounter(other.cells_[i], weight)));
+      if (other.options_.cell_width > options_.cell_width) {
+        PromoteBase(other.options_.cell_width);
       }
-      return;
-    }
-    if (other.options_.cell_width > options_.cell_width) {
-      PromoteBase(other.options_.cell_width);
-    }
-    const std::size_t n = NumCells();
-    for (std::size_t i = 0; i < n; ++i) {
-      const CounterT v = ScaleCounter(other.AtFlat(i), weight);
-      if (v != CounterT{}) AddAtFlat(i, v);
-    }
+      const std::size_t n = NumCells();
+      for (std::size_t i = 0; i < n; ++i) {
+        const CounterT v = scale(other.AtFlat(i));
+        if (v != CounterT{}) AddAtFlat(i, v);
+      }
+    });
   }
 
   /// Returns to the freshly-constructed state. Overflow levels are dropped

@@ -98,24 +98,13 @@ bool CountMinSketch::MergeCompatibleWith(const CountMinSketch& other) const {
          table_.overflow() == other.table_.overflow();
 }
 
-void CountMinSketch::Merge(const CountMinSketch& other) {
-  SUBSTREAM_CHECK_MSG(MergeCompatibleWith(other),
-                      "merging incompatible CountMin sketches");
-  table_.MergeAdd(other.table_);
-  total_ += other.total_;
-}
-
-void CountMinSketch::MergeScaled(const CountMinSketch& other, double weight) {
+void CountMinSketch::Merge(const CountMinSketch& other, double weight) {
   SUBSTREAM_CHECK_MSG(ValidMergeWeight(weight),
                       "CountMin decayed-merge weight %f outside (0, 1]",
                       weight);
-  if (weight == 1.0) {
-    Merge(other);
-    return;
-  }
   SUBSTREAM_CHECK_MSG(MergeCompatibleWith(other),
                       "merging incompatible CountMin sketches");
-  table_.MergeAddScaled(other.table_, weight);
+  table_.MergeAdd(other.table_, weight);
   total_ += ScaleCounter(other.total_, weight);
 }
 
@@ -199,7 +188,8 @@ CountMinHeavyHitters::CountMinHeavyHitters(double phi, double eps_resolution,
   SUBSTREAM_CHECK(phi > 0.0 && phi <= 1.0);
   SUBSTREAM_CHECK(eps_resolution > 0.0 && eps_resolution < 1.0);
   // At most 1/(phi (1 - eps)) items can be heavy; keep slack for churn.
-  capacity_ = static_cast<std::size_t>(std::ceil(8.0 / phi)) + 16;
+  candidates_ = CandidatePool<count_t>(
+      static_cast<std::size_t>(std::ceil(8.0 / phi)) + 16);
 }
 
 void CountMinHeavyHitters::Update(const PrehashedItem& ph, count_t count) {
@@ -209,7 +199,7 @@ void CountMinHeavyHitters::Update(const PrehashedItem& ph, count_t count) {
   // filtering happens in Candidates() against the final F1.
   if (static_cast<double>(est) >=
       0.5 * phi_ * static_cast<double>(sketch_.TotalCount())) {
-    MaybeInsert(ph.item, est);
+    candidates_.Offer(ph.item, est);
   }
 }
 
@@ -226,73 +216,29 @@ void CountMinHeavyHitters::UpdatePrehashed(PrehashedColumns cols,
 
 bool CountMinHeavyHitters::MergeCompatibleWith(
     const CountMinHeavyHitters& other) const {
-  return phi_ == other.phi_ && capacity_ == other.capacity_ &&
+  return phi_ == other.phi_ &&
+         candidates_.capacity() == other.candidates_.capacity() &&
          sketch_.MergeCompatibleWith(other.sketch_);
 }
 
-void CountMinHeavyHitters::Merge(const CountMinHeavyHitters& other) {
+void CountMinHeavyHitters::Merge(const CountMinHeavyHitters& other,
+                                 double weight) {
   SUBSTREAM_CHECK_MSG(MergeCompatibleWith(other),
                       "merging CountMin heavy-hitter trackers with different "
                       "phi/capacity");
-  sketch_.Merge(other.sketch_);  // enforces geometry + seed equality
-  // Union the candidate pools, re-estimating BOTH sides against the merged
-  // sketch so eviction decisions compare current estimates; a stale
-  // pre-merge value could otherwise get a genuinely heavy item evicted.
-  for (auto& [item, estimate] : candidates_) {
-    estimate = sketch_.Estimate(item);
-  }
-  for (const auto& [item, stale] : other.candidates_) {
-    (void)stale;
-    MaybeInsert(item, sketch_.Estimate(item));
-  }
-}
-
-void CountMinHeavyHitters::MergeScaled(const CountMinHeavyHitters& other,
-                                       double weight) {
-  if (weight == 1.0) {
-    Merge(other);
-    return;
-  }
-  SUBSTREAM_CHECK_MSG(MergeCompatibleWith(other),
-                      "merging CountMin heavy-hitter trackers with different "
-                      "phi/capacity");
-  sketch_.MergeScaled(other.sketch_, weight);  // validates the weight
-  // Same refresh-then-union discipline as Merge: every estimate is read
-  // from the merged (decay-scaled) sketch, so eviction compares decayed
-  // frequencies rather than a mix of fresh and stale ones.
-  for (auto& [item, estimate] : candidates_) {
-    estimate = sketch_.Estimate(item);
-  }
-  for (const auto& [item, stale] : other.candidates_) {
-    (void)stale;
-    MaybeInsert(item, sketch_.Estimate(item));
-  }
+  // Enforces geometry + seed equality and validates the weight.
+  sketch_.Merge(other.sketch_, weight);
+  // Re-estimate BOTH pools against the merged sketch before the union, so
+  // eviction compares current estimates; a stale pre-merge value could
+  // otherwise get a genuinely heavy item evicted.
+  const auto estimate = [this](item_t item) { return sketch_.Estimate(item); };
+  candidates_.Refresh(estimate);
+  candidates_.Union(other.candidates_, estimate);
 }
 
 void CountMinHeavyHitters::Reset() {
   sketch_.Reset();
-  candidates_.clear();
-}
-
-void CountMinHeavyHitters::MaybeInsert(item_t item, count_t estimate) {
-  auto it = candidates_.find(item);
-  if (it != candidates_.end()) {
-    it->second = estimate;
-    return;
-  }
-  if (candidates_.size() < capacity_) {
-    candidates_.emplace(item, estimate);
-    return;
-  }
-  // Evict the weakest candidate if the newcomer beats it.
-  auto weakest = candidates_.begin();
-  for (auto jt = candidates_.begin(); jt != candidates_.end(); ++jt) {
-    if (jt->second < weakest->second) weakest = jt;
-  }
-  if (weakest->second < estimate) {
-    candidates_.erase(weakest);
-    candidates_.emplace(item, estimate);
-  }
+  candidates_.Clear();
 }
 
 std::vector<std::pair<item_t, count_t>> CountMinHeavyHitters::Candidates(
@@ -300,7 +246,7 @@ std::vector<std::pair<item_t, count_t>> CountMinHeavyHitters::Candidates(
   std::vector<std::pair<item_t, count_t>> out;
   const double threshold =
       threshold_fraction * static_cast<double>(sketch_.TotalCount());
-  for (const auto& [item, stale_estimate] : candidates_) {
+  for (const auto& [item, stale_estimate] : candidates_.entries()) {
     (void)stale_estimate;
     const count_t est = sketch_.Estimate(item);
     if (static_cast<double>(est) >= threshold) out.emplace_back(item, est);
@@ -320,9 +266,9 @@ std::size_t CountMinHeavyHitters::SpaceBytes() const {
 void CountMinHeavyHitters::Serialize(serde::Writer& out) const {
   out.Record(serde::TypeTag::kCountMinHeavyHitters);
   out.F64(phi_);
-  out.Varint(capacity_);
+  out.Varint(candidates_.capacity());
   sketch_.Serialize(out);
-  serde::WriteCountMap(out, candidates_);
+  serde::WriteCountMap(out, candidates_.entries());
 }
 
 std::optional<CountMinHeavyHitters> CountMinHeavyHitters::Deserialize(
@@ -344,10 +290,12 @@ std::optional<CountMinHeavyHitters> CountMinHeavyHitters::Deserialize(
   // phi drive an allocation bomb through the analytic width.
   CountMinHeavyHitters tracker(0.5, 0.5, 0.5, sketch->seed());
   tracker.phi_ = phi;
-  tracker.capacity_ = capacity;
+  tracker.candidates_ = CandidatePool<count_t>(capacity);
   tracker.sketch_ = std::move(*sketch);
-  if (!serde::ReadCountMap(in, &tracker.candidates_)) return std::nullopt;
-  if (tracker.candidates_.size() > tracker.capacity_) return std::nullopt;
+  if (!serde::ReadCountMap(in, tracker.candidates_.mutable_entries())) {
+    return std::nullopt;
+  }
+  if (tracker.candidates_.size() > capacity) return std::nullopt;
   return tracker;
 }
 

@@ -3,11 +3,11 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "obs/health.h"
+#include "sketch/candidate_pool.h"
 #include "sketch/cell_width.h"
 #include "sketch/counter_table.h"
 #include "sketch/sketch.h"
@@ -93,17 +93,14 @@ class CountMinSketch {
   /// merge by counter-wise max-sum and may further overestimate. Cell
   /// widths may differ — this sketch promotes to the wider side — but the
   /// bucket-reduction mode (pow2 flag) and overflow policy must match.
-  void Merge(const CountMinSketch& other);
+  /// With `weight` < 1 (a decayed merge, `weight` in (0, 1]) every counter
+  /// of `other` contributes `round(weight * counter)`: CountMin is linear,
+  /// so the result sketches the weight-scaled stream up to rounding.
+  void Merge(const CountMinSketch& other, double weight = 1.0);
   /// True when Merge(other) preconditions hold, checked all the way
   /// down through nested summaries; the Collector uses this to reject
   /// decoded-but-incompatible records instead of tripping the abort.
   bool MergeCompatibleWith(const CountMinSketch& other) const;
-
-  /// Decayed merge: every counter of `other` contributes
-  /// `round(weight * counter)` (CountMin is linear, so the result is the
-  /// sketch of the weight-scaled stream up to rounding). `weight` must be
-  /// in (0, 1]; weight 1 delegates to Merge. Same preconditions as Merge.
-  void MergeScaled(const CountMinSketch& other, double weight);
 
   /// Total number of updates F1.
   count_t TotalCount() const { return total_; }
@@ -167,19 +164,16 @@ class CountMinHeavyHitters {
   /// Feeds `n` already-prehashed elements.
   void UpdatePrehashed(PrehashedColumns cols, std::size_t n);
 
-  /// Merges a tracker with the same phi, geometry and seed: sketches add,
-  /// candidate pools union (estimates refreshed from the merged sketch).
-  void Merge(const CountMinHeavyHitters& other);
+  /// Merges a tracker with the same phi, geometry and seed: the sketches
+  /// merge at `weight` (see CountMinSketch::Merge), then both candidate
+  /// pools are re-estimated against the merged sketch and unioned, so an
+  /// aged-out heavy hitter whose decayed estimate no longer clears the bar
+  /// loses eviction contests naturally.
+  void Merge(const CountMinHeavyHitters& other, double weight = 1.0);
   /// True when Merge(other) preconditions hold, checked all the way
   /// down through nested summaries; the Collector uses this to reject
   /// decoded-but-incompatible records instead of tripping the abort.
   bool MergeCompatibleWith(const CountMinHeavyHitters& other) const;
-
-  /// Decayed merge: the nested sketch merges with `weight`-scaled counters
-  /// and both candidate pools are re-estimated against the merged sketch,
-  /// so an aged-out heavy hitter whose decayed estimate no longer clears
-  /// the bar loses eviction contests naturally.
-  void MergeScaled(const CountMinHeavyHitters& other, double weight);
 
   /// Clears sketch counters and the candidate pool.
   void Reset();
@@ -206,12 +200,7 @@ class CountMinHeavyHitters {
  private:
   double phi_;
   CountMinSketch sketch_;
-  // Candidate pool: item -> last estimate. Bounded by capacity_; evicts the
-  // weakest candidate when full.
-  std::unordered_map<item_t, count_t> candidates_;
-  std::size_t capacity_;
-
-  void MaybeInsert(item_t item, count_t estimate);
+  CandidatePool<count_t> candidates_;
 };
 
 SUBSTREAM_ASSERT_MERGEABLE_SUMMARY(CountMinSketch);

@@ -10,6 +10,17 @@
 
 namespace substream {
 
+namespace {
+
+// Cell add mod 2^64, the domain CounterTable adds in: decoded (untrusted)
+// cells and totals may sum past the signed range, where a signed add is UB.
+std::int64_t AddMod64(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                   static_cast<std::uint64_t>(b));
+}
+
+}  // namespace
+
 CountSketch::CountSketch(int depth, std::uint64_t width, std::uint64_t seed,
                          CounterTableOptions options)
     : depth_(depth),
@@ -78,6 +89,9 @@ double CountSketch::UpdateAndEstimate(const PrehashedItem& ph,
     }
     return MedianInPlace(row_estimates, static_cast<std::size_t>(depth_));
   }
+  // Narrow cells store the mod-2^64 sum, except that a saturating cell may
+  // have clamped it: read that one back, as Estimate would.
+  const bool saturate = table_.overflow() == OverflowPolicy::kSaturate;
   for (int r = 0; r < depth_; ++r) {
     const auto rr = static_cast<std::size_t>(r);
     const std::size_t flat = table_.FlatIndex(r, table_.BucketOf(r, ph.hash));
@@ -86,8 +100,10 @@ double CountSketch::UpdateAndEstimate(const PrehashedItem& ph,
     const std::int64_t delta = sign * count;
     row_sumsq_[rr] += static_cast<double>(2 * cell * delta + delta * delta);
     table_.AddAtFlat(flat, delta);
+    const std::int64_t stored =
+        saturate ? table_.AtFlat(flat) : AddMod64(cell, delta);
     row_estimates[rr] =
-        static_cast<double>(sign) * static_cast<double>(cell + delta);
+        static_cast<double>(sign) * static_cast<double>(stored);
   }
   return MedianInPlace(row_estimates, static_cast<std::size_t>(depth_));
 }
@@ -216,32 +232,35 @@ bool CountSketch::MergeCompatibleWith(const CountSketch& other) const {
          table_.overflow() == other.table_.overflow();
 }
 
-void CountSketch::Merge(const CountSketch& other) {
+void CountSketch::Merge(const CountSketch& other, double weight) {
+  SUBSTREAM_CHECK_MSG(ValidMergeWeight(weight),
+                      "CountSketch decayed-merge weight %f outside (0, 1]",
+                      weight);
   SUBSTREAM_CHECK_MSG(MergeCompatibleWith(other),
                       "merging incompatible CountSketches");
-  if (table_.cell_width() == CellWidth::k64 &&
-      other.table_.cell_width() == CellWidth::k64) {
+  total_ = AddMod64(total_, ScaleCounter(other.total_, weight));
+  if (table_.cell_width() != CellWidth::k64 ||
+      other.table_.cell_width() != CellWidth::k64) {
+    table_.MergeAdd(other.table_, weight);
+    RecomputeRowNorms();
+    return;
+  }
+  WithMergeScale(weight, [&](auto scale) {
     for (int r = 0; r < depth_; ++r) {
-      const auto rr = static_cast<std::size_t>(r);
       std::int64_t* const row = table_.Row(r);
       const std::int64_t* const other_row = other.table_.Row(r);
       double sumsq = 0.0;
       for (std::uint64_t c = 0; c < width_; ++c) {
-        row[c] += other_row[c];
+        row[c] = AddMod64(row[c], scale(other_row[c]));
         sumsq += static_cast<double>(row[c]) * static_cast<double>(row[c]);
       }
-      row_sumsq_[rr] = sumsq;
+      row_sumsq_[static_cast<std::size_t>(r)] = sumsq;
     }
-    total_ += other.total_;
-    return;
-  }
-  table_.MergeAdd(other.table_);
-  RecomputeRowNorms();
-  total_ += other.total_;
+  });
 }
 
 void CountSketch::RecomputeRowNorms() {
-  // Same ascending bucket order as the 64-bit merge loops, so equal merged
+  // Same ascending bucket order as the 64-bit merge loop, so equal merged
   // counters give bit-equal norms regardless of storage width.
   for (int r = 0; r < depth_; ++r) {
     double sumsq = 0.0;
@@ -252,37 +271,6 @@ void CountSketch::RecomputeRowNorms() {
     }
     row_sumsq_[static_cast<std::size_t>(r)] = sumsq;
   }
-}
-
-void CountSketch::MergeScaled(const CountSketch& other, double weight) {
-  SUBSTREAM_CHECK_MSG(ValidMergeWeight(weight),
-                      "CountSketch decayed-merge weight %f outside (0, 1]",
-                      weight);
-  if (weight == 1.0) {
-    Merge(other);
-    return;
-  }
-  SUBSTREAM_CHECK_MSG(MergeCompatibleWith(other),
-                      "merging incompatible CountSketches");
-  if (table_.cell_width() == CellWidth::k64 &&
-      other.table_.cell_width() == CellWidth::k64) {
-    for (int r = 0; r < depth_; ++r) {
-      const auto rr = static_cast<std::size_t>(r);
-      std::int64_t* const row = table_.Row(r);
-      const std::int64_t* const other_row = other.table_.Row(r);
-      double sumsq = 0.0;
-      for (std::uint64_t c = 0; c < width_; ++c) {
-        row[c] += ScaleCounter(other_row[c], weight);
-        sumsq += static_cast<double>(row[c]) * static_cast<double>(row[c]);
-      }
-      row_sumsq_[rr] = sumsq;
-    }
-    total_ += ScaleCounter(other.total_, weight);
-    return;
-  }
-  table_.MergeAddScaled(other.table_, weight);
-  RecomputeRowNorms();
-  total_ += ScaleCounter(other.total_, weight);
 }
 
 double CountSketch::Estimate(const PrehashedItem& ph) const {
@@ -403,13 +391,14 @@ CountSketchHeavyHitters::CountSketchHeavyHitters(double phi,
               seed, options) {
   SUBSTREAM_CHECK(phi > 0.0 && phi <= 1.0);
   SUBSTREAM_CHECK(eps_resolution > 0.0 && eps_resolution < 1.0);
-  capacity_ = static_cast<std::size_t>(std::ceil(8.0 / (phi * phi))) + 16;
+  candidates_ = CandidatePool<double>(
+      static_cast<std::size_t>(std::ceil(8.0 / (phi * phi))) + 16);
 }
 
 void CountSketchHeavyHitters::Update(const PrehashedItem& ph, count_t count) {
   updates_ += count;
-  sketch_.Update(ph, static_cast<std::int64_t>(count));
-  const double est = sketch_.Estimate(ph);
+  const double est =
+      sketch_.UpdateAndEstimate(ph, static_cast<std::int64_t>(count));
   // Cheap pre-filter: sqrt(F2) >= F1/sqrt(n)... instead of recomputing the
   // F2 estimate per update (expensive), compare against a lower bound that
   // uses the running update count: sqrt(F2(L)) >= sqrt(F1(L)). Anything that
@@ -417,7 +406,7 @@ void CountSketchHeavyHitters::Update(const PrehashedItem& ph, count_t count) {
   const double lower_bound_sqrt_f2 =
       std::sqrt(static_cast<double>(updates_));
   if (est >= 0.5 * phi_ * lower_bound_sqrt_f2) {
-    MaybeInsert(ph.item, est);
+    candidates_.Offer(ph.item, est);
   }
 }
 
@@ -434,80 +423,37 @@ void CountSketchHeavyHitters::UpdatePrehashed(PrehashedColumns cols,
 
 bool CountSketchHeavyHitters::MergeCompatibleWith(
     const CountSketchHeavyHitters& other) const {
-  return phi_ == other.phi_ && capacity_ == other.capacity_ &&
+  return phi_ == other.phi_ &&
+         candidates_.capacity() == other.candidates_.capacity() &&
          sketch_.MergeCompatibleWith(other.sketch_);
 }
 
-void CountSketchHeavyHitters::Merge(const CountSketchHeavyHitters& other) {
+void CountSketchHeavyHitters::Merge(const CountSketchHeavyHitters& other,
+                                    double weight) {
   SUBSTREAM_CHECK_MSG(MergeCompatibleWith(other),
                       "merging CountSketch heavy-hitter trackers with "
                       "different phi/capacity");
-  sketch_.Merge(other.sketch_);  // enforces geometry + seed equality
-  updates_ += other.updates_;
-  // Re-estimate BOTH pools against the merged sketch before unioning, so
-  // eviction compares current estimates rather than stale per-shard ones.
-  for (auto& [item, estimate] : candidates_) {
-    estimate = sketch_.Estimate(item);
-  }
-  for (const auto& [item, stale] : other.candidates_) {
-    (void)stale;
-    MaybeInsert(item, sketch_.Estimate(item));
-  }
-}
-
-void CountSketchHeavyHitters::MergeScaled(const CountSketchHeavyHitters& other,
-                                          double weight) {
-  if (weight == 1.0) {
-    Merge(other);
-    return;
-  }
-  SUBSTREAM_CHECK_MSG(MergeCompatibleWith(other),
-                      "merging CountSketch heavy-hitter trackers with "
-                      "different phi/capacity");
-  sketch_.MergeScaled(other.sketch_, weight);  // validates the weight
+  // Enforces geometry + seed equality and validates the weight.
+  sketch_.Merge(other.sketch_, weight);
   updates_ += ScaleCounter(other.updates_, weight);
-  // Refresh-then-union against the merged (decay-scaled) sketch, exactly
-  // as Merge does.
-  for (auto& [item, estimate] : candidates_) {
-    estimate = sketch_.Estimate(item);
-  }
-  for (const auto& [item, stale] : other.candidates_) {
-    (void)stale;
-    MaybeInsert(item, sketch_.Estimate(item));
-  }
+  // Re-estimate BOTH pools against the merged sketch before the union, so
+  // eviction compares current estimates rather than stale per-shard ones.
+  const auto estimate = [this](item_t item) { return sketch_.Estimate(item); };
+  candidates_.Refresh(estimate);
+  candidates_.Union(other.candidates_, estimate);
 }
 
 void CountSketchHeavyHitters::Reset() {
   sketch_.Reset();
-  candidates_.clear();
+  candidates_.Clear();
   updates_ = 0;
-}
-
-void CountSketchHeavyHitters::MaybeInsert(item_t item, double estimate) {
-  auto it = candidates_.find(item);
-  if (it != candidates_.end()) {
-    it->second = estimate;
-    return;
-  }
-  if (candidates_.size() < capacity_) {
-    candidates_.emplace(item, estimate);
-    return;
-  }
-  auto weakest = candidates_.begin();
-  for (auto jt = candidates_.begin(); jt != candidates_.end(); ++jt) {
-    if (jt->second < weakest->second) weakest = jt;
-  }
-  if (weakest->second < estimate) {
-    candidates_.erase(weakest);
-    candidates_.emplace(item, estimate);
-  }
 }
 
 std::vector<std::pair<item_t, double>> CountSketchHeavyHitters::Candidates(
     double threshold_phi) const {
   std::vector<std::pair<item_t, double>> out;
   const double threshold = threshold_phi * std::sqrt(sketch_.EstimateF2());
-  for (const auto& [item, stale] : candidates_) {
+  for (const auto& [item, stale] : candidates_.entries()) {
     (void)stale;
     const double est = sketch_.Estimate(item);
     if (est >= threshold) out.emplace_back(item, est);
@@ -527,10 +473,10 @@ std::size_t CountSketchHeavyHitters::SpaceBytes() const {
 void CountSketchHeavyHitters::Serialize(serde::Writer& out) const {
   out.Record(serde::TypeTag::kCountSketchHeavyHitters);
   out.F64(phi_);
-  out.Varint(capacity_);
+  out.Varint(candidates_.capacity());
   out.Varint(updates_);
   sketch_.Serialize(out);
-  serde::WriteDoubleMap(out, candidates_);
+  serde::WriteDoubleMap(out, candidates_.entries());
 }
 
 std::optional<CountSketchHeavyHitters> CountSketchHeavyHitters::Deserialize(
@@ -551,11 +497,13 @@ std::optional<CountSketchHeavyHitters> CountSketchHeavyHitters::Deserialize(
   // the geometry they produce (see CountMinHeavyHitters::Deserialize).
   CountSketchHeavyHitters tracker(0.5, 0.5, 0.5, sketch->seed());
   tracker.phi_ = phi;
-  tracker.capacity_ = capacity;
+  tracker.candidates_ = CandidatePool<double>(capacity);
   tracker.updates_ = updates;
   tracker.sketch_ = std::move(*sketch);
-  if (!serde::ReadDoubleMap(in, &tracker.candidates_)) return std::nullopt;
-  if (tracker.candidates_.size() > tracker.capacity_) return std::nullopt;
+  if (!serde::ReadDoubleMap(in, tracker.candidates_.mutable_entries())) {
+    return std::nullopt;
+  }
+  if (tracker.candidates_.size() > capacity) return std::nullopt;
   return tracker;
 }
 

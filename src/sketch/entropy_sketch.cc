@@ -51,33 +51,12 @@ bool EntropyMleEstimator::MergeCompatibleWith(
   return true;
 }
 
-void EntropyMleEstimator::Merge(const EntropyMleEstimator& other) {
-  for (const auto& [item, count] : other.counts_) {
-    counts_[item] += count;
-  }
-  total_ += other.total_;
-}
-
-void EntropyMleEstimator::MergeScaled(const EntropyMleEstimator& other,
-                                      double weight) {
+void EntropyMleEstimator::Merge(const EntropyMleEstimator& other,
+                                double weight) {
   SUBSTREAM_CHECK_MSG(ValidMergeWeight(weight),
                       "entropy decayed-merge weight %f outside (0, 1]",
                       weight);
-  if (weight == 1.0) {
-    Merge(other);
-    return;
-  }
-  count_t added = 0;
-  for (const auto& [item, count] : other.counts_) {
-    const count_t scaled = ScaleCounter(count, weight);
-    if (scaled == 0) continue;  // aged out of the decayed window
-    counts_[item] += scaled;
-    added += scaled;
-  }
-  // total_ stays the exact sum of counts_ (per-item rounding makes that
-  // differ from round(weight * other.total_)), so Estimate() normalizes by
-  // the true decayed mass.
-  total_ += added;
+  total_ += MergeCountMap(counts_, other.counts_, other.total_, weight);
 }
 
 void EntropyMleEstimator::Serialize(serde::Writer& out) const {

@@ -48,14 +48,12 @@ class EntropyMleEstimator {
     UpdatePrehashedByLoop(*this, cols, n);
   }
 
-  /// Merges another frequency map (exact: counts add pointwise).
-  void Merge(const EntropyMleEstimator& other);
-
-  /// Decayed merge: counts add as `round(weight * count)` (entries
-  /// rounding to zero age out), so the estimate becomes the entropy of the
-  /// decayed empirical distribution. `weight` in (0, 1]; 1 delegates to
-  /// Merge.
-  void MergeScaled(const EntropyMleEstimator& other, double weight);
+  /// Merges another frequency map: counts add pointwise. Below weight 1
+  /// (a decayed merge, `weight` in (0, 1]) they add as `round(weight *
+  /// count)`, entries rounding to zero age out, and the total grows by the
+  /// mass actually added, so the estimate becomes the entropy of the
+  /// decayed empirical distribution.
+  void Merge(const EntropyMleEstimator& other, double weight = 1.0);
   /// True when Merge(other) preconditions hold, checked all the way
   /// down through nested summaries; the Collector uses this to reject
   /// decoded-but-incompatible records instead of tripping the abort.

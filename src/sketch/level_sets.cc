@@ -37,9 +37,10 @@ IndykWoodruffEstimator::IndykWoodruffEstimator(const LevelSetParams& params,
                   params.cs_depth <= CounterTable<std::int64_t>::kMaxDepth);
   SUBSTREAM_CHECK(params.cs_width >= 2);
   SUBSTREAM_CHECK(params.heavy_factor > 0.0);
-  candidate_capacity_ = params.candidate_capacity != 0
-                            ? params.candidate_capacity
-                            : static_cast<std::size_t>(4 * params.cs_width);
+  const std::size_t candidate_capacity =
+      params.candidate_capacity != 0
+          ? params.candidate_capacity
+          : static_cast<std::size_t>(4 * params.cs_width);
   exact_capacity_ = params.exact_capacity != 0
                         ? params.exact_capacity
                         : static_cast<std::size_t>(2 * params.cs_width);
@@ -49,7 +50,7 @@ IndykWoodruffEstimator::IndykWoodruffEstimator(const LevelSetParams& params,
         CountSketch(params.cs_depth, params.cs_width,
                     DeriveSeed(seed, 0x100 + static_cast<std::uint64_t>(t)),
                     CounterTableOptions{params.cell_width}),
-        {},
+        CandidatePool<double>(candidate_capacity),
         {},
         true});
   }
@@ -74,49 +75,32 @@ void IndykWoodruffEstimator::Update(const PrehashedItem& ph, count_t count) {
         slot.sketch.UpdateAndEstimate(ph, static_cast<std::int64_t>(count));
     if (slot.exact_valid) {
       slot.exact[item] += count;
-      if (slot.exact.size() > exact_capacity_) {
-        slot.exact.clear();
-        slot.exact_valid = false;
-      }
+      SettleExact(slot, /*source_exact=*/true);
     }
     // Only items that currently clear (half of) the recoverability
-    // threshold enter the candidate pool; this keeps insertions rare and
-    // the pool populated with genuinely heavy items.
+    // threshold, and at least one occurrence, enter the candidate pool;
+    // this keeps insertions rare and the pool populated with genuinely
+    // heavy items.
     const double threshold_sq = 0.5 * params_.heavy_factor *
                                 slot.sketch.EstimateF2() /
                                 static_cast<double>(params_.cs_width);
-    if (estimate * estimate >= threshold_sq) {
-      TrackCandidate(slot, item, estimate);
+    if (estimate * estimate >= threshold_sq && estimate >= 1.0) {
+      slot.candidates.Offer(item, estimate);
     }
   }
 }
 
-void IndykWoodruffEstimator::TrackCandidate(DepthSlot& slot, item_t item,
-                                            double estimate) {
-  if (estimate < 1.0) return;
-  auto it = slot.candidates.find(item);
-  if (it != slot.candidates.end()) {
-    it->second = estimate;
-    return;
-  }
-  if (slot.candidates.size() < candidate_capacity_) {
-    slot.candidates.emplace(item, estimate);
-    return;
-  }
-  auto weakest = slot.candidates.begin();
-  for (auto jt = slot.candidates.begin(); jt != slot.candidates.end(); ++jt) {
-    if (jt->second < weakest->second) weakest = jt;
-  }
-  if (weakest->second < estimate) {
-    slot.candidates.erase(weakest);
-    slot.candidates.emplace(item, estimate);
-  }
+void IndykWoodruffEstimator::SettleExact(DepthSlot& slot,
+                                         bool source_exact) const {
+  if (source_exact && slot.exact.size() <= exact_capacity_) return;
+  slot.exact.clear();
+  slot.exact_valid = false;
 }
 
 void IndykWoodruffEstimator::Reset() {
   for (DepthSlot& slot : depths_) {
     slot.sketch.Reset();
-    slot.candidates.clear();
+    slot.candidates.Clear();
     slot.exact.clear();
     slot.exact_valid = true;
   }
@@ -142,64 +126,27 @@ bool IndykWoodruffEstimator::MergeCompatibleWith(
   return true;
 }
 
-void IndykWoodruffEstimator::Merge(const IndykWoodruffEstimator& other) {
-  SUBSTREAM_CHECK_MSG(MergeCompatibleWith(other),
-                      "merging incompatible level-set structures");
-  total_ += other.total_;
-  for (std::size_t t = 0; t < depths_.size(); ++t) {
-    DepthSlot& slot = depths_[t];
-    slot.sketch.Merge(other.depths_[t].sketch);
-    if (slot.exact_valid && other.depths_[t].exact_valid) {
-      for (const auto& [item, g] : other.depths_[t].exact) {
-        slot.exact[item] += g;
-      }
-      if (slot.exact.size() > exact_capacity_) {
-        slot.exact.clear();
-        slot.exact_valid = false;
-      }
-    } else if (slot.exact_valid) {
-      slot.exact.clear();
-      slot.exact_valid = false;
-    }
-    // Union candidate pools; estimates are refreshed from the merged
-    // sketch so stale values cannot mislead eviction.
-    for (const auto& [item, stale] : other.depths_[t].candidates) {
-      (void)stale;
-      TrackCandidate(slot, item, slot.sketch.Estimate(item));
-    }
-  }
-}
-
-void IndykWoodruffEstimator::MergeScaled(const IndykWoodruffEstimator& other,
-                                         double weight) {
-  if (weight == 1.0) {
-    Merge(other);
-    return;
-  }
+void IndykWoodruffEstimator::Merge(const IndykWoodruffEstimator& other,
+                                   double weight) {
   SUBSTREAM_CHECK_MSG(MergeCompatibleWith(other),
                       "merging incompatible level-set structures");
   total_ += ScaleCounter(other.total_, weight);
   for (std::size_t t = 0; t < depths_.size(); ++t) {
     DepthSlot& slot = depths_[t];
-    slot.sketch.MergeScaled(other.depths_[t].sketch, weight);
-    if (slot.exact_valid && other.depths_[t].exact_valid) {
-      for (const auto& [item, g] : other.depths_[t].exact) {
-        const count_t scaled = ScaleCounter(g, weight);
-        if (scaled == 0) continue;  // aged out of the decayed window
-        slot.exact[item] += scaled;
+    const DepthSlot& from = other.depths_[t];
+    slot.sketch.Merge(from.sketch, weight);  // validates the weight
+    if (slot.exact_valid) {
+      if (from.exact_valid) {
+        MergeCountMap(slot.exact, from.exact, /*from_total=*/0, weight);
       }
-      if (slot.exact.size() > exact_capacity_) {
-        slot.exact.clear();
-        slot.exact_valid = false;
-      }
-    } else if (slot.exact_valid) {
-      slot.exact.clear();
-      slot.exact_valid = false;
+      SettleExact(slot, from.exact_valid);
     }
-    for (const auto& [item, stale] : other.depths_[t].candidates) {
-      (void)stale;
-      TrackCandidate(slot, item, slot.sketch.Estimate(item));
-    }
+    // Union the candidate pools at estimates read from the merged sketch,
+    // so stale values cannot mislead eviction.
+    slot.candidates.Union(
+        from.candidates,
+        [&slot](item_t item) { return slot.sketch.Estimate(item); },
+        /*min_estimate=*/1.0);
   }
 }
 
@@ -263,7 +210,7 @@ std::vector<LevelSetEstimate> IndykWoodruffEstimator::EstimateLevelSets()
         params_.heavy_factor * f2_at_depth[static_cast<std::size_t>(t_sketch)] /
         static_cast<double>(params_.cs_width);
     double members = 0.0;
-    for (const auto& [item, stale] : slot.candidates) {
+    for (const auto& [item, stale] : slot.candidates.entries()) {
       (void)stale;
       const double g_hat = slot.sketch.Estimate(item);
       if (g_hat < 0.5) continue;
@@ -366,7 +313,7 @@ void IndykWoodruffEstimator::Serialize(serde::Writer& out) const {
   out.Varint(total_);
   for (const DepthSlot& slot : depths_) {
     slot.sketch.Serialize(out);
-    serde::WriteDoubleMap(out, slot.candidates);
+    serde::WriteDoubleMap(out, slot.candidates.entries());
     serde::WriteCountMap(out, slot.exact);
     out.Bool(slot.exact_valid);
   }
@@ -422,10 +369,12 @@ std::optional<IndykWoodruffEstimator> IndykWoodruffEstimator::Deserialize(
       return std::nullopt;
     }
     slot.sketch = std::move(*sketch);
-    if (!serde::ReadDoubleMap(in, &slot.candidates)) return std::nullopt;
+    if (!serde::ReadDoubleMap(in, slot.candidates.mutable_entries())) {
+      return std::nullopt;
+    }
     if (!serde::ReadCountMap(in, &slot.exact)) return std::nullopt;
     slot.exact_valid = in.Bool();
-    if (slot.candidates.size() > estimator.candidate_capacity_ ||
+    if (slot.candidates.size() > slot.candidates.capacity() ||
         slot.exact.size() > estimator.exact_capacity_) {
       return std::nullopt;
     }
@@ -479,37 +428,14 @@ bool ExactLevelSets::MergeCompatibleWith(const ExactLevelSets& other) const {
   return eps_prime_ == other.eps_prime_ && eta_ == other.eta_;
 }
 
-void ExactLevelSets::Merge(const ExactLevelSets& other) {
-  SUBSTREAM_CHECK_MSG(MergeCompatibleWith(other),
-                      "merging level-set references with different "
-                      "discretizations");
-  for (const auto& [item, g] : other.counts_) {
-    counts_[item] += g;
-  }
-  total_ += other.total_;
-}
-
-void ExactLevelSets::MergeScaled(const ExactLevelSets& other, double weight) {
+void ExactLevelSets::Merge(const ExactLevelSets& other, double weight) {
   SUBSTREAM_CHECK_MSG(ValidMergeWeight(weight),
                       "level-set decayed-merge weight %f outside (0, 1]",
                       weight);
-  if (weight == 1.0) {
-    Merge(other);
-    return;
-  }
   SUBSTREAM_CHECK_MSG(MergeCompatibleWith(other),
                       "merging level-set references with different "
                       "discretizations");
-  count_t added = 0;
-  for (const auto& [item, g] : other.counts_) {
-    const count_t scaled = ScaleCounter(g, weight);
-    if (scaled == 0) continue;  // aged out of the decayed window
-    counts_[item] += scaled;
-    added += scaled;
-  }
-  // Keep the invariant total_ == sum of counts_ exact: per-item rounding
-  // means the sum of scaled counts differs from round(weight * total).
-  total_ += added;
+  total_ += MergeCountMap(counts_, other.counts_, other.total_, weight);
 }
 
 void ExactLevelSets::Serialize(serde::Writer& out) const {

@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "sketch/candidate_pool.h"
 #include "sketch/countsketch.h"
 #include "sketch/sketch.h"
 #include "util/common.h"
@@ -125,19 +126,15 @@ class IndykWoodruffEstimator {
 
   /// Merges a structure built with the same parameters and seed (same
   /// depth hash, level boundaries and CountSketch seeds): per-depth
-  /// sketches add linearly; candidate pools union with re-estimation.
-  void Merge(const IndykWoodruffEstimator& other);
+  /// sketches merge linearly at `weight` (see CountSketch::Merge), exact
+  /// maps add (below weight 1 as rounded scaled counts, entries rounding
+  /// to zero aging out), and `other`'s candidates join each depth's pool at
+  /// their estimates against the merged sketch.
+  void Merge(const IndykWoodruffEstimator& other, double weight = 1.0);
   /// True when Merge(other) preconditions hold, checked all the way
   /// down through nested summaries; the Collector uses this to reject
   /// decoded-but-incompatible records instead of tripping the abort.
   bool MergeCompatibleWith(const IndykWoodruffEstimator& other) const;
-
-  /// Decayed merge: per-depth CountSketches merge with `weight`-scaled
-  /// counters (linear, so the result sketches the weight-scaled stream up
-  /// to rounding), exact maps add rounded scaled counts (entries rounding
-  /// to zero age out), candidate pools re-estimate against the merged
-  /// sketches. `weight` in (0, 1]; weight 1 delegates to Merge.
-  void MergeScaled(const IndykWoodruffEstimator& other, double weight);
 
   /// Number of stream elements consumed.
   count_t ConsumedLength() const { return total_; }
@@ -164,7 +161,7 @@ class IndykWoodruffEstimator {
  private:
   struct DepthSlot {
     CountSketch sketch;
-    std::unordered_map<item_t, double> candidates;
+    CandidatePool<double> candidates;
     // Exact per-item counts while the substream is sparse enough; cleared
     // and marked invalid on overflow. Deep substreams stay sparse, which
     // is exactly where CountSketch point noise would otherwise corrupt
@@ -178,12 +175,14 @@ class IndykWoodruffEstimator {
   double eta_;
   TabulationHash depth_hash_;
   std::vector<DepthSlot> depths_;
-  std::size_t candidate_capacity_;
   std::size_t exact_capacity_;
   count_t total_ = 0;
 
   int DepthOf(item_t item) const;
-  void TrackCandidate(DepthSlot& slot, item_t item, double estimate);
+  /// Ends exact counting at `slot` for good (map cleared, marked invalid)
+  /// once its map outgrows exact_capacity_, or when `source_exact` is
+  /// false: it just absorbed a depth that was no longer exactly counted.
+  void SettleExact(DepthSlot& slot, bool source_exact) const;
   /// Representative frequency of a level given its lower boundary.
   double LevelMidValue(double lower_boundary) const;
 };
@@ -214,16 +213,14 @@ class ExactLevelSets {
   }
 
   /// Merges another reference structure with identical discretization
-  /// (same eps_prime and eta): exact counts add pointwise.
-  void Merge(const ExactLevelSets& other);
+  /// (same eps_prime and eta): exact counts add pointwise; below weight 1
+  /// they add as `round(weight * count)` and entries rounding to zero age
+  /// out of the map entirely.
+  void Merge(const ExactLevelSets& other, double weight = 1.0);
   /// True when Merge(other) preconditions hold, checked all the way
   /// down through nested summaries; the Collector uses this to reject
   /// decoded-but-incompatible records instead of tripping the abort.
   bool MergeCompatibleWith(const ExactLevelSets& other) const;
-
-  /// Decayed merge: exact counts add as `round(weight * count)`; entries
-  /// rounding to zero age out of the map entirely.
-  void MergeScaled(const ExactLevelSets& other, double weight);
 
   /// Forgets all counts; discretization parameters are kept.
   void Reset() {

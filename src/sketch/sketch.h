@@ -62,6 +62,19 @@
 ///    geometry and seed) are enforced loudly via SUBSTREAM_CHECK: merging
 ///    incompatible summaries aborts instead of silently corrupting
 ///    estimates.
+///
+///    The weighted summaries (CountMin, CountSketch, their heavy-hitter
+///    trackers, the level sets, the exact entropy map and the core
+///    estimators up to Monitor) take one merge entry point,
+///    `Merge(const S& other, double weight = 1.0)`. Weight 1 is the exact
+///    merge above; a weight in (0, 1) is a decayed merge, in which every
+///    linear counter of `other` contributes `ScaleCounter(counter,
+///    weight)` — how WindowedMonitor ages old windows at query time. One
+///    body serves both: the weight picks the per-counter contribution once
+///    per call (WithMergeScale), never per counter. The other summaries
+///    (KMV, HyperLogLog, the AMS sketches, Misra–Gries, SpaceSaving) keep
+///    the one-argument form: nothing merges them at a weight, and the
+///    distinct-count sets could not be scaled anyway.
 ///  - `bool MergeCompatibleWith(const S& other) const` — true exactly when
 ///    `Merge(other)` would succeed, checked all the way down through
 ///    nested summaries. This is the graceful form of the Merge
@@ -193,16 +206,19 @@ inline constexpr bool IsMergeableSummary =
 inline bool ValidMergeWeight(double w) { return w > 0.0 && w <= 1.0; }
 
 /// Rounds a weighted counter contribution back to the integer counter
-/// domain. Decayed merges (MergeScaled) scale every linear counter by the
-/// window weight; round-to-nearest keeps the scaled sketch an unbiased-in-
-/// expectation image of the decayed stream while the counters stay
-/// integral. Contributions under half a count round to zero and vanish —
-/// exactly the "aged out" semantics a decayed summary wants. The result is
-/// clamped to CounterT's representable range: `llround` on a product at or
-/// beyond 2^63 is undefined behaviour, and an unchecked narrowing cast
-/// would silently wrap near-max cells instead of pinning them.
+/// domain. Decayed merges (`Merge(other, weight)` with weight < 1) scale
+/// every linear counter by the window weight; round-to-nearest keeps the
+/// scaled sketch an unbiased-in-expectation image of the decayed stream
+/// while the counters stay integral. Contributions under half a count
+/// round to zero and vanish — exactly the "aged out" semantics a decayed
+/// summary wants. The result is clamped to CounterT's representable range:
+/// `llround` on a product at or beyond 2^63 is undefined behaviour, and an
+/// unchecked narrowing cast would silently wrap near-max cells instead of
+/// pinning them. Weight 1 returns `count` untouched: a round trip through
+/// double would round counts past 2^53.
 template <typename CounterT>
 inline CounterT ScaleCounter(CounterT count, double weight) {
+  if (weight == 1.0) return count;
   const double scaled = weight * static_cast<double>(count);
   // The max/min of CounterT round when converted to double (uint64 max
   // becomes 2^64, int64 max becomes 2^63) — both are correct clamp
@@ -217,6 +233,43 @@ inline CounterT ScaleCounter(CounterT count, double weight) {
     if (scaled >= 9223372036854775808.0) return static_cast<CounterT>(scaled);
   }
   return static_cast<CounterT>(std::llround(scaled));
+}
+
+/// Calls `body(scale)` with the per-counter contribution of a merge at
+/// `weight`: the identity at weight 1, `ScaleCounter(count, weight)`
+/// otherwise. The weight is tested once per call, so the counter loops in
+/// `body` compile to the plain pointwise sum for the exact merge.
+template <typename Body>
+inline void WithMergeScale(double weight, Body&& body) {
+  if (weight == 1.0) {
+    body([](auto count) { return count; });
+  } else {
+    body([weight](auto count) { return ScaleCounter(count, weight); });
+  }
+}
+
+/// Merges the exact frequency map `from` into `into` at `weight`. Weight 1
+/// is the pointwise sum; below it every count adds `ScaleCounter(count,
+/// weight)` and entries that round to zero are skipped (aged out of the
+/// decayed window). Returns what the summary's total grows by:
+/// `from_total` at weight 1, otherwise the sum of the scaled counts
+/// actually added, so total == sum of counts stays exact under per-entry
+/// rounding.
+template <typename Map>
+inline count_t MergeCountMap(Map& into, const Map& from, count_t from_total,
+                             double weight) {
+  if (weight == 1.0) {
+    for (const auto& [item, count] : from) into[item] += count;
+    return from_total;
+  }
+  count_t added = 0;
+  for (const auto& [item, count] : from) {
+    const count_t scaled = ScaleCounter(count, weight);
+    if (scaled == 0) continue;
+    into[item] += scaled;
+    added += scaled;
+  }
+  return added;
 }
 
 /// Default `UpdateBatch` body: the plain item-at-a-time loop. Summaries

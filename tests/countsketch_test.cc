@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <optional>
 
 #include <gtest/gtest.h>
 
+#include "serde/serde.h"
 #include "stream/exact_stats.h"
 #include "stream/generators.h"
 #include "util/math.h"
@@ -120,6 +124,66 @@ TEST(CountSketchHeavyHittersTest, NoDeepTailFalsePositives) {
     (void)est;
     EXPECT_GT(static_cast<double>(exact.Frequency(item)), cutoff)
         << "deep-tail item " << item << " reported as F2-heavy";
+  }
+}
+
+/// A depth-1, width-1, 64-bit-cell CountSketch record holding `cell` in its
+/// only counter, decoded the way a Collector decodes untrusted records.
+CountSketch DecodeOneCellSketch(std::int64_t cell) {
+  serde::Writer out;
+  out.Record(serde::TypeTag::kCountSketch);
+  out.Varint(1);  // depth
+  out.Varint(1);  // width
+  out.U64(77);    // seed
+  out.U8(static_cast<std::uint8_t>(CellWidth::k64));
+  out.U8(0);  // flags: fast-range placement, spill
+  out.Svarint(cell);                           // total
+  out.F64(static_cast<double>(cell) * cell);  // row norm
+  out.Svarint(cell);                           // the cell
+  out.Varint(0);                               // no overflow levels
+  serde::Reader in(out.bytes());
+  std::optional<CountSketch> sketch = CountSketch::Deserialize(in);
+  EXPECT_TRUE(sketch.has_value());
+  return std::move(*sketch);
+}
+
+TEST(CountSketchTest, MergeWrapsCellsPastInt64Max) {
+  // Decoded cells can sum past INT64_MAX. The merge adds mod 2^64, the
+  // domain every counter-table add uses, instead of overflowing a signed
+  // add (undefined behaviour, which UBSan aborts on).
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  CountSketch a = DecodeOneCellSketch(kMax - 5);
+  const CountSketch b = DecodeOneCellSketch(10);
+  a.Merge(b);
+  const std::int64_t wrapped = std::numeric_limits<std::int64_t>::min() + 4;
+  EXPECT_EQ(std::abs(a.Estimate(1)), -static_cast<double>(wrapped));
+  EXPECT_DOUBLE_EQ(a.EstimateF2(),
+                   static_cast<double>(wrapped) * static_cast<double>(wrapped));
+}
+
+TEST(CountSketchTest, FusedUpdateAndEstimateMatchesUpdateThenEstimate) {
+  // UpdateAndEstimate promises exactly Update followed by Estimate, at
+  // every cell width and overflow policy — including saturating narrow
+  // cells, where the stored counter is the clamped sum.
+  ZipfGenerator gen(300, 1.2, 19);
+  const Stream stream = Materialize(gen, 4000);
+  for (CellWidth width :
+       {CellWidth::k8, CellWidth::k16, CellWidth::k32, CellWidth::k64}) {
+    for (OverflowPolicy overflow :
+         {OverflowPolicy::kSpill, OverflowPolicy::kSaturate}) {
+      CounterTableOptions options{width};
+      options.overflow = overflow;
+      CountSketch fused(5, 64, 23, options), split(5, 64, 23, options);
+      for (std::size_t i = 0; i < stream.size(); ++i) {
+        const PrehashedItem ph = MakePrehashed(stream[i]);
+        const std::int64_t count = 1 + static_cast<std::int64_t>(i % 97);
+        const double got = fused.UpdateAndEstimate(ph, count);
+        split.Update(ph, count);
+        ASSERT_EQ(got, split.Estimate(ph))
+            << "cell width " << static_cast<int>(width) << " overflow "
+            << static_cast<int>(overflow) << " item " << i;
+      }
+    }
   }
 }
 

@@ -347,11 +347,6 @@ std::uint32_t WireCrc(const S& summary) {
   return serde::Crc32(writer.bytes().data(), writer.size());
 }
 
-template <typename S>
-void WeightedMerge(S& into, const S& from, double weight) {
-  into.MergeScaled(from, weight);
-}
-
 /// Builds two summaries with `make`, feeds them the two pinned Zipf
 /// streams, merges the second into the first at each pinned weight and
 /// compares the merged record's CRC with `expected`.
@@ -363,7 +358,7 @@ void ExpectMergePins(Make make, const PinCrcs& expected) {
     auto from = make();
     into.UpdateBatch(s.a.data(), s.a.size());
     from.UpdateBatch(s.b.data(), s.b.size());
-    WeightedMerge(into, from, kPinWeights[w]);
+    into.Merge(from, kPinWeights[w]);
     EXPECT_EQ(WireCrc(into), expected[w]) << "weight " << kPinWeights[w];
   }
   auto into = make();
@@ -372,6 +367,15 @@ void ExpectMergePins(Make make, const PinCrcs& expected) {
   from.UpdateBatch(s.b.data(), s.b.size());
   into.Merge(from);
   EXPECT_EQ(WireCrc(into), expected[0]) << "plain Merge vs weight 1";
+}
+
+TEST(MergePinTest, ScaleCounterIsExactAtWeightOne) {
+  // Weight 1 is the exact merge: no round trip through double, which
+  // would round counts past 2^53.
+  const count_t big = (count_t{1} << 60) + 1;
+  EXPECT_EQ(ScaleCounter(big, 1.0), big);
+  const std::int64_t signed_big = -((std::int64_t{1} << 60) + 1);
+  EXPECT_EQ(ScaleCounter(signed_big, 1.0), signed_big);
 }
 
 TEST(MergePinTest, CountMinSketch) {
@@ -397,7 +401,8 @@ TEST(MergePinTest, CountMinHeavyHitters) {
 }
 
 TEST(MergePinTest, CountSketch) {
-  ExpectMergePins([] { return CountSketch(5, 256, 303); }, PinCrcs{3613310730u, 3934123547u, 1421102496u});
+  ExpectMergePins([] { return CountSketch(5, 256, 303); },
+                  PinCrcs{3613310730u, 3934123547u, 1421102496u});
   ExpectMergePins(
       [] {
         return CountSketch(5, 256, 303, CounterTableOptions{CellWidth::k16});
@@ -444,11 +449,13 @@ TEST(MergePinTest, IndykWoodruffEstimator) {
 }
 
 TEST(MergePinTest, ExactLevelSets) {
-  ExpectMergePins([] { return ExactLevelSets(0.25, 0.5); }, PinCrcs{627037931u, 3249937017u, 592423277u});
+  ExpectMergePins([] { return ExactLevelSets(0.25, 0.5); },
+                  PinCrcs{627037931u, 3249937017u, 592423277u});
 }
 
 TEST(MergePinTest, EntropyMleEstimator) {
-  ExpectMergePins([] { return EntropyMleEstimator(); }, PinCrcs{3358198454u, 1238174092u, 1941876466u});
+  ExpectMergePins([] { return EntropyMleEstimator(); },
+                  PinCrcs{3358198454u, 1238174092u, 1941876466u});
 }
 
 TEST(MergePinTest, EntropyEstimator) {

@@ -168,8 +168,8 @@ TEST(WindowedMonitorTest, DecayedReportWeighsWindowsByAge) {
 TEST(WindowedMonitorTest, DecayedReportSurvivesWeightUnderflow) {
   // Aggressive decay: decay^age underflows to 0.0 for old-enough windows
   // (here at age 2 already). Their counter mass has fully aged out, but
-  // the weight must be clamped — not skipped and not handed to MergeScaled
-  // as an invalid zero (which aborted before the fix) — so their F0 state
+  // the weight must be clamped — not skipped and not handed to Merge as an
+  // invalid zero weight (which aborted before the fix) — so their F0 state
   // still merges: distinct counts age out only by ring eviction.
   MonitorConfig config = TestConfig();
   config.universe = 64;
